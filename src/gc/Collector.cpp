@@ -2,6 +2,7 @@
 
 #include "gc/Collector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <csetjmp>
 #include <cstdio>
@@ -194,9 +195,8 @@ void *Collector::allocateSmall(size_t Padded, bool Atomic) {
     if (Desc->Atomic != Atomic)
       continue;
     *Prev = Slot->Next;
-    unsigned SlotIdx = static_cast<unsigned>(
-        (reinterpret_cast<char *>(Slot) - Desc->PageStart) / Desc->ObjSize);
-    Desc->setAllocBit(SlotIdx);
+    Desc->setAllocBit(
+        Desc->slotIndex(reinterpret_cast<char *>(Slot) - Desc->PageStart));
     return Slot;
   }
 
@@ -208,9 +208,8 @@ void *Collector::allocateSmall(size_t Padded, bool Atomic) {
   FreeSlot *Slot = FreeLists[Class];
   assert(Slot && "freshly initialized page has no free slots");
   FreeLists[Class] = Slot->Next;
-  unsigned SlotIdx = static_cast<unsigned>(
-      (reinterpret_cast<char *>(Slot) - Desc->PageStart) / Desc->ObjSize);
-  Desc->setAllocBit(SlotIdx);
+  Desc->setAllocBit(
+      Desc->slotIndex(reinterpret_cast<char *>(Slot) - Desc->PageStart));
   return Slot;
 }
 
@@ -220,6 +219,7 @@ void Collector::initSmallPage(PageDescriptor *Desc, size_t ObjSize,
   Desc->Atomic = Atomic;
   Desc->ObjSize = static_cast<uint16_t>(ObjSize);
   Desc->ObjCount = static_cast<uint16_t>(PageSize / ObjSize);
+  Desc->SlotRecip = PageDescriptor::slotReciprocal(ObjSize);
   Desc->LargePages = 0;
   Desc->LargeSize = 0;
   Desc->LargeHead = nullptr;
@@ -315,6 +315,14 @@ char *Collector::takePageRun(size_t NPages,
     if (!Base)
       return nullptr;
     Segments.push_back({Base, Want, 0});
+    uintptr_t Lo = reinterpret_cast<uintptr_t>(Base);
+    uintptr_t Hi = Lo + Want * PageSize;
+    if (HeapSpan) {
+      Hi = std::max(Hi, HeapLo + HeapSpan);
+      Lo = std::min(Lo, HeapLo);
+    }
+    HeapLo = Lo;
+    HeapSpan = Hi - Lo;
     Seg = &Segments.back();
   }
   char *Run = Seg->Base + Seg->NextFreePage * PageSize;
@@ -358,8 +366,8 @@ void *Collector::baseOf(const void *P) const {
   case PageKind::PK_Free:
     return nullptr;
   case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (A - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
+    unsigned Slot =
+        Desc->slotIndex(A - reinterpret_cast<uintptr_t>(Desc->PageStart));
     if (Slot >= Desc->ObjCount || !Desc->allocBit(Slot))
       return nullptr;
     return Desc->PageStart + size_t(Slot) * Desc->ObjSize;
@@ -381,7 +389,7 @@ void *Collector::baseOf(const void *P) const {
   return nullptr;
 }
 
-bool Collector::pointsToFreedObject(const void *P) const {
+bool Collector::pointsToFreedHeapObject(const void *P) const {
   const PageDescriptor *Desc = Table.lookup(P);
   if (!Desc)
     return false;
@@ -390,8 +398,8 @@ bool Collector::pointsToFreedObject(const void *P) const {
   case PageKind::PK_Free:
     return true; // page was heap, now reclaimed
   case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (A - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
+    unsigned Slot =
+        Desc->slotIndex(A - reinterpret_cast<uintptr_t>(Desc->PageStart));
     return Slot < Desc->ObjCount && !Desc->allocBit(Slot);
   }
   case PageKind::PK_LargeStart:
@@ -471,6 +479,8 @@ private:
 };
 
 void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
+  if (!inHeapBounds(Addr))
+    return;
   PageDescriptor *Desc = Table.lookup(reinterpret_cast<void *>(Addr));
   if (!Desc)
     return;
@@ -484,8 +494,8 @@ void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
   case PageKind::PK_Free:
     return;
   case PageKind::PK_Small: {
-    unsigned Slot = static_cast<unsigned>(
-        (Addr - reinterpret_cast<uintptr_t>(Desc->PageStart)) / Desc->ObjSize);
+    unsigned Slot =
+        Desc->slotIndex(Addr - reinterpret_cast<uintptr_t>(Desc->PageStart));
     if (Slot >= Desc->ObjCount || !Desc->allocBit(Slot))
       return;
     Base = Desc->PageStart + size_t(Slot) * Desc->ObjSize;
@@ -544,11 +554,19 @@ void Collector::markRange(const char *Begin, const char *End, bool FromHeap) {
   uintptr_t B = reinterpret_cast<uintptr_t>(Begin);
   uintptr_t E = reinterpret_cast<uintptr_t>(End);
   B = (B + sizeof(uintptr_t) - 1) & ~(sizeof(uintptr_t) - 1);
-  for (; B + sizeof(uintptr_t) <= E; B += sizeof(uintptr_t)) {
+  if (B + sizeof(uintptr_t) > E)
+    return;
+  size_t Words = (E - B) / sizeof(uintptr_t);
+  CurEvent.WordsScanned += Words;
+  // The bounds are fixed during a collection; the test runs here so that
+  // only plausible words pay for the call.
+  const uintptr_t Lo = HeapLo, Span = HeapSpan;
+  for (size_t I = 0; I < Words; ++I) {
     uintptr_t Word;
-    std::memcpy(&Word, reinterpret_cast<const void *>(B), sizeof(Word));
-    ++CurEvent.WordsScanned;
-    markAddress(Word, FromHeap);
+    std::memcpy(&Word, reinterpret_cast<const void *>(B + I * sizeof(Word)),
+                sizeof(Word));
+    if (Word - Lo < Span)
+      markAddress(Word, FromHeap);
   }
 }
 
@@ -631,11 +649,8 @@ void Collector::collect() {
   Stats.MarkedObjects += CurEvent.MarkedObjects;
   Stats.InteriorPointerHits += CurEvent.InteriorHits;
   Stats.FalseRetentionCandidates += CurEvent.FalseRetentionCandidates;
-  if (Config.EventLimit) {
-    if (Stats.Events.size() >= Config.EventLimit)
-      Stats.Events.erase(Stats.Events.begin());
-    Stats.Events.push_back(CurEvent);
-  }
+  if (Config.EventLimit)
+    Stats.Events.push(CurEvent, Config.EventLimit);
 
   ++Stats.Collections;
   BytesSinceGC = 0;
@@ -664,20 +679,25 @@ void Collector::sweep() {
     case PageKind::PK_LargeCont:
       break;
     case PageKind::PK_Small: {
+      // 64 slots at a time: the dead slots are allocated and unmarked.
+      // Freed slots are reported, poisoned and then pushed onto the free
+      // list in ascending slot order, as a slot-by-slot sweep would.
+      size_t ObjSize = Desc->ObjSize;
+      unsigned Words = (Desc->ObjCount + 63) / 64;
       unsigned Live = 0;
-      for (unsigned Slot = 0; Slot < Desc->ObjCount; ++Slot) {
-        if (Desc->allocBit(Slot) && !Desc->markBit(Slot)) {
-          Desc->clearAllocBit(Slot);
+      for (unsigned W = 0; W < Words; ++W) {
+        uint64_t Dead = Desc->AllocBits[W] & ~Desc->MarkBits[W];
+        Desc->AllocBits[W] &= ~Dead;
+        Live += static_cast<unsigned>(__builtin_popcountll(Desc->AllocBits[W]));
+        for (; Dead; Dead &= Dead - 1) {
+          char *Obj = Desc->PageStart +
+                      (W * 64 + unsigned(__builtin_ctzll(Dead))) * ObjSize;
           ++Freed;
           if (Config.Profile)
-            Config.Profile->recordFree(
-                Desc->PageStart + size_t(Slot) * Desc->ObjSize, CurEvent.Index);
+            Config.Profile->recordFree(Obj, CurEvent.Index);
           if (Config.PoisonOnFree)
-            std::memset(Desc->PageStart + size_t(Slot) * Desc->ObjSize,
-                        PoisonByte, Desc->ObjSize);
+            std::memset(Obj, PoisonByte, ObjSize);
         }
-        if (Desc->allocBit(Slot))
-          ++Live;
       }
       if (Live == 0) {
         Desc->Kind = PageKind::PK_Free;
@@ -685,15 +705,20 @@ void Collector::sweep() {
         FreePageList = Desc;
         break;
       }
-      LiveBytes += size_t(Live) * Desc->ObjSize;
-      size_t Class = Desc->ObjSize / GranuleSize - 1;
-      for (unsigned Slot = 0; Slot < Desc->ObjCount; ++Slot) {
-        if (Desc->allocBit(Slot))
-          continue;
-        auto *Free = reinterpret_cast<FreeSlot *>(Desc->PageStart +
-                                                  size_t(Slot) * Desc->ObjSize);
-        Free->Next = FreeLists[Class];
-        FreeLists[Class] = Free;
+      LiveBytes += size_t(Live) * ObjSize;
+      FreeSlot *&List = FreeLists[ObjSize / GranuleSize - 1];
+      for (unsigned W = 0; W < Words; ++W) {
+        unsigned InWord = std::min(64u, Desc->ObjCount - W * 64);
+        uint64_t Valid = InWord == 64 ? ~uint64_t(0)
+                                      : (uint64_t(1) << InWord) - 1;
+        for (uint64_t Free = ~Desc->AllocBits[W] & Valid; Free;
+             Free &= Free - 1) {
+          auto *Slot = reinterpret_cast<FreeSlot *>(
+              Desc->PageStart +
+              (W * 64 + unsigned(__builtin_ctzll(Free))) * ObjSize);
+          Slot->Next = List;
+          List = Slot;
+        }
       }
       break;
     }
@@ -739,8 +764,7 @@ void Collector::deallocate(void *P) {
     Config.Profile->recordFree(Base, Stats.Collections);
   PageDescriptor *Desc = Table.lookup(Base);
   if (Desc->Kind == PageKind::PK_Small) {
-    unsigned Slot = static_cast<unsigned>(
-        (static_cast<char *>(Base) - Desc->PageStart) / Desc->ObjSize);
+    unsigned Slot = Desc->slotIndex(static_cast<char *>(Base) - Desc->PageStart);
     Desc->clearAllocBit(Slot);
     // Keep the audit's mark-implies-alloc invariant: a slot freed between
     // collections may still carry the previous cycle's mark bit.

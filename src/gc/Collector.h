@@ -204,6 +204,53 @@ struct CollectionEvent {
   uint64_t FalseRetentionCandidates = 0;
 };
 
+/// The most recent per-collection records, oldest first, in a ring of
+/// fixed capacity: recording into a full ring overwrites the oldest record
+/// in O(1).
+class CollectionEventRing {
+public:
+  class const_iterator {
+  public:
+    const_iterator(const CollectionEventRing &R, size_t I) : R(&R), I(I) {}
+    const CollectionEvent &operator*() const { return (*R)[I]; }
+    const_iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    bool operator==(const const_iterator &O) const { return I == O.I; }
+    bool operator!=(const const_iterator &O) const { return I != O.I; }
+
+  private:
+    const CollectionEventRing *R;
+    size_t I;
+  };
+
+  /// Records \p E, keeping at most \p Capacity records (Capacity > 0 and
+  /// the same on every call).
+  void push(const CollectionEvent &E, size_t Capacity) {
+    if (Buf.size() < Capacity) {
+      Buf.push_back(E);
+      return;
+    }
+    Buf[Head] = E;
+    Head = (Head + 1) % Buf.size();
+  }
+
+  size_t size() const { return Buf.size(); }
+  bool empty() const { return Buf.empty(); }
+  /// The \p I-th oldest record.
+  const CollectionEvent &operator[](size_t I) const {
+    return Buf[(Head + I) % Buf.size()];
+  }
+  const CollectionEvent &back() const { return (*this)[Buf.size() - 1]; }
+  const_iterator begin() const { return const_iterator(*this, 0); }
+  const_iterator end() const { return const_iterator(*this, Buf.size()); }
+
+private:
+  std::vector<CollectionEvent> Buf;
+  size_t Head = 0; ///< Index of the oldest record once the ring is full.
+};
+
 /// Counters exposed for tests and benchmarks. The *Ns / *Scanned / *Hits
 /// fields are cumulative over all collections; Events holds the most
 /// recent CollectorConfig::EventLimit per-collection records.
@@ -237,7 +284,7 @@ struct CollectorStats {
   /// Collections whose mark+sweep blew CollectorConfig::CollectDeadlineNs.
   uint64_t GcDeadlineExceeded = 0;
 
-  std::vector<CollectionEvent> Events;
+  CollectionEventRing Events;
 };
 
 /// Passed to registered root scanners; report pointer-holding memory
@@ -306,7 +353,10 @@ public:
   /// (swept or explicitly deallocated). Used by the VM to detect premature
   /// collection: a GC-safety failure manifests as a load from a freed,
   /// poisoned object.
-  bool pointsToFreedObject(const void *P) const;
+  bool pointsToFreedObject(const void *P) const {
+    return inHeapBounds(reinterpret_cast<uintptr_t>(P)) &&
+           pointsToFreedHeapObject(P);
+  }
 
   /// True if \p P and \p Q point into the same live heap object (the
   /// predicate behind the paper's GC_same_obj).
@@ -365,6 +415,12 @@ private:
 
   class MarkVisitor;
 
+  /// bdwgc's plausible-heap-bounds test: true if \p Addr lies between the
+  /// lowest and the highest address of any segment. One compare rejects
+  /// the small integers, zeros and stack or global addresses that most
+  /// candidate words are, before any page-table probe.
+  bool inHeapBounds(uintptr_t Addr) const { return Addr - HeapLo < HeapSpan; }
+  bool pointsToFreedHeapObject(const void *P) const;
   size_t paddedSize(size_t Size) const;
   void *allocateSmall(size_t Padded, bool Atomic);
   void *allocateLarge(size_t Padded, bool Atomic);
@@ -389,6 +445,8 @@ private:
   CollectorStats Stats;
   PageTable Table;
   std::vector<Segment> Segments;
+  uintptr_t HeapLo = 0;   ///< Lowest segment address.
+  uintptr_t HeapSpan = 0; ///< Highest segment end minus HeapLo.
   std::vector<PageDescriptor *> AllPages; // every descriptor ever created
   PageDescriptor *FreePageList = nullptr;
   FreeSlot *FreeLists[NumSizeClasses] = {};

@@ -33,6 +33,7 @@ PageTable::TopEntry *PageTable::findOrCreate(uintptr_t Key) {
   E->Next = Head;
   Head = E;
   ++EntryCount;
+  CachedKey = ~uintptr_t(0);
   return E;
 }
 

@@ -57,6 +57,8 @@ struct PageDescriptor {
   bool Atomic = false;     ///< Objects contain no pointers (skip in mark).
   uint16_t ObjSize = 0;    ///< PK_Small: rounded object size in bytes.
   uint16_t ObjCount = 0;   ///< PK_Small: number of slots in the page.
+  /// PK_Small: reciprocal of ObjSize for slotIndex().
+  uint32_t SlotRecip = 0;
   uint32_t LargePages = 0; ///< PK_LargeStart: total pages in the run.
   size_t LargeSize = 0;    ///< PK_LargeStart: padded object size in bytes.
   PageDescriptor *LargeHead = nullptr; ///< PK_LargeCont: run's first page.
@@ -66,6 +68,19 @@ struct PageDescriptor {
   /// (GranuleSize-byte slots).
   uint64_t AllocBits[MaxSlotsPerPage / 64] = {};
   uint64_t MarkBits[MaxSlotsPerPage / 64] = {};
+
+  /// Reciprocal for slotIndex(): floor(2^32 / ObjSize) + 1. It overshoots
+  /// 2^32 / ObjSize by at most 1, so Off * SlotRecip / 2^32 overshoots
+  /// Off / ObjSize by less than PageSize / 2^32 < 1 / MaxSmallSize: never
+  /// enough to reach the next integer.
+  static uint32_t slotReciprocal(size_t ObjSize) {
+    return static_cast<uint32_t>((uint64_t(1) << 32) / ObjSize + 1);
+  }
+  /// PK_Small: the slot holding in-page byte offset \p Off, i.e.
+  /// Off / ObjSize as a multiply and a shift.
+  unsigned slotIndex(uintptr_t Off) const {
+    return static_cast<unsigned>((uint64_t(Off) * SlotRecip) >> 32);
+  }
 
   bool allocBit(unsigned Slot) const {
     return (AllocBits[Slot / 64] >> (Slot % 64)) & 1;
@@ -91,7 +106,10 @@ struct PageDescriptor {
 /// table keyed on the address bits above a "chunk" (a 4 MiB span of 1024
 /// pages); level 2 is a dense array of descriptor pointers, one per page in
 /// the chunk. Lookup is one hash probe plus one array index — the property
-/// the paper relies on to make GC_same_obj fast.
+/// the paper relies on to make GC_same_obj fast. A one-entry cache of the
+/// last chunk probed (hit or miss) skips the hash probe for runs of
+/// addresses in one chunk, which is how marking and the VM's freed-access
+/// check look addresses up.
 class PageTable {
 public:
   static constexpr size_t ChunkPagesLog = 10; // 1024 pages = 4 MiB chunk
@@ -118,12 +136,16 @@ public:
   PageDescriptor *lookup(const void *Addr) const {
     uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
     uintptr_t Key = A >> (PageSizeLog + ChunkPagesLog);
-    const TopEntry *E = Top[hashKey(Key)];
-    while (E && E->Key != Key)
-      E = E->Next;
-    if (!E)
+    if (Key != CachedKey) {
+      const TopEntry *E = Top[hashKey(Key)];
+      while (E && E->Key != Key)
+        E = E->Next;
+      CachedKey = Key;
+      CachedEntry = E;
+    }
+    if (!CachedEntry)
       return nullptr;
-    return E->Pages[(A >> PageSizeLog) & (ChunkPages - 1)];
+    return CachedEntry->Pages[(A >> PageSizeLog) & (ChunkPages - 1)];
   }
 
   /// Number of level-1 entries currently allocated (test hook).
@@ -144,6 +166,12 @@ private:
 
   TopEntry *Top[TopTableSize] = {};
   size_t EntryCount = 0;
+  /// The last chunk lookup() probed and its entry (null: not in the
+  /// table). Entries are never removed, so only a new entry can make the
+  /// cache stale; findOrCreate() resets it then. Like the rest of the
+  /// collector, lookups are not safe to run concurrently.
+  mutable uintptr_t CachedKey = ~uintptr_t(0);
+  mutable const TopEntry *CachedEntry = nullptr;
 };
 
 } // namespace gc

@@ -8,6 +8,8 @@
 using namespace gcsafe;
 
 Arena::~Arena() {
+  for (auto It = Dtors.rbegin(); It != Dtors.rend(); ++It)
+    It->Destroy(It->Obj);
   for (char *Slab : Slabs)
     std::free(Slab);
 }

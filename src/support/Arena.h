@@ -8,8 +8,10 @@
 /// \file
 /// A simple bump-pointer arena used for AST and IR node allocation. Objects
 /// allocated from an arena are never individually freed; the whole arena is
-/// released at once when it is destroyed. Allocated objects must be
-/// trivially destructible or have destructors the caller does not rely on.
+/// released at once when it is destroyed. Objects made with create() that
+/// are not trivially destructible are destroyed then too, newest first, so
+/// the heap buffers of their members (an AST node's std::vector of
+/// children, say) are released with the arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,9 +40,13 @@ public:
   void *allocate(size_t Size, size_t Align);
 
   /// Allocates and constructs a \p T with the given constructor arguments.
+  /// The arena runs its destructor when the arena is destroyed.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
     void *Mem = allocate(sizeof(T), alignof(T));
-    return new (Mem) T(std::forward<Args>(CtorArgs)...);
+    T *Obj = new (Mem) T(std::forward<Args>(CtorArgs)...);
+    if constexpr (!std::is_trivially_destructible_v<T>)
+      Dtors.push_back({Obj, [](void *P) { static_cast<T *>(P)->~T(); }});
+    return Obj;
   }
 
   /// Copies \p Text into the arena and returns a stable string_view.
@@ -53,7 +60,13 @@ private:
 
   static constexpr size_t SlabSize = 64 * 1024;
 
+  struct Dtor {
+    void *Obj;
+    void (*Destroy)(void *);
+  };
+
   std::vector<char *> Slabs;
+  std::vector<Dtor> Dtors; ///< In creation order; run in reverse.
   char *Cur = nullptr;
   char *End = nullptr;
   size_t BytesAllocated = 0;

@@ -6,10 +6,12 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 using namespace gcsafe;
 using namespace gcsafe::vm;
@@ -27,118 +29,102 @@ uint64_t doubleToBits(double D) {
   return Bits;
 }
 constexpr int64_t FuncPtrBase = 0x10000;
+
+/// Register-window slots below a frame's register 0: operands that are
+/// immediates or absent read the zero slot (and add their inline
+/// immediate); a result with no destination register lands in the sink.
+/// Neither slot is a GC root.
+constexpr int32_t ZeroSlot = -2;
+constexpr int32_t SinkSlot = -1;
+constexpr uint64_t WindowSlots = 2;
+
+/// A frame without locals takes no VM stack, so register windows are
+/// bounded by frame depth instead: one frame per 16 bytes of VM stack,
+/// the least a frame with locals takes.
+constexpr uint64_t MinFrameBytes = 16;
+
+constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
+
+/// Operation of a decoded instruction: the IR opcode, with loads and
+/// stores split by width and calls by callee kind.
+enum class DOp : uint8_t {
+  Nop, Mov,
+  Add, Sub, Mul, DivS, DivU, RemS, RemU,
+  And, Or, Xor, Shl, ShrA, ShrL, Neg, Not,
+  FAdd, FSub, FMul, FDiv, FNeg,
+  CmpEq, CmpNe, CmpLtS, CmpLeS, CmpGtS, CmpGeS,
+  CmpLtU, CmpLeU, CmpGtU, CmpGeU,
+  FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
+  SExt, ZExt, SIToFP, FPToSI,
+  // Load/LoadIdx at A + B (B is the zero slot for Load), by width.
+  Load1S, Load1U, Load2S, Load2U, Load4S, Load4U, Load8,
+  // Store/StoreIdx of C at A + B, by width.
+  Store1, Store2, Store4, Store8,
+  AddrLocal,
+  Jmp, Br, Ret,
+  CallDirect, CallIndirect, CallBuiltin,
+  KeepLive, CheckSameObj, Kill,
+  /// Not an IR instruction: reached by falling off the end of a block
+  /// that has no terminator.
+  FellOff,
+};
 } // namespace
 
-VM::VM(const Module &MIn, VMOptions Options) : M(MIn), Opts(std::move(Options)) {
-  gc::CollectorConfig GC;
-  GC.AllocCountTrigger = Opts.GcAllocTrigger;
-  GC.PoisonOnFree = true;
-  GC.AllInteriorPointers = Opts.AllInteriorPointers;
-  GC.EventLimit = Opts.GcEventLimit;
-  GC.Trace = Opts.Trace;
-  GC.Oom = Opts.GcOomPolicy;
-  GC.OomRetries = Opts.GcOomRetries;
-  GC.MaxHeapPages = Opts.GcMaxHeapPages;
-  GC.AuditEachCollection = Opts.GcAuditEachCollection;
-  GC.Faults = Opts.Faults;
-  GC.CollectDeadlineNs = Opts.GcDeadlineNs;
-  GC.Profile = Opts.Profile ? &Opts.Profile->Heap : nullptr;
-  C = std::make_unique<gc::Collector>(GC);
-  Check = std::make_unique<gc::PointerCheck>(*C);
+//===----------------------------------------------------------------------===//
+// Decoded form
+//===----------------------------------------------------------------------===//
 
-  Globals.assign(M.GlobalsSize ? M.GlobalsSize : 1, 0);
-  for (const GlobalVar &G : M.Globals)
-    if (!G.InitData.empty())
-      std::memcpy(Globals.data() + G.Offset, G.InitData.data(),
-                  G.InitData.size());
-  Stack.assign(Opts.StackSize, 0);
+/// One decoded instruction. Every operand is a register-window index plus
+/// an inline immediate, and reads as Regs[Idx] + Imm: a register operand
+/// has Imm 0, an immediate (or absent) operand indexes the zero slot.
+struct VM::DecodedInst {
+  struct BranchInfo {
+    uint32_t Target[2];  ///< Flat PCs: taken (Jmp, Br true), Br false.
+    uint32_t Penalty[2]; ///< Spill cycles charged on entering each target.
+  };
+  struct CallInfo {
+    uint32_t ArgBegin; ///< First operand in DecodedFunction::Args.
+    uint32_t ArgCount;
+    int32_t Callee;    ///< CallDirect: function index.
+    uint32_t Flat;     ///< Flat IR index: the allocation-site id.
+  };
 
-  // GC-roots: "the machine stack, registers, and statically allocated
-  // memory".
-  C->addRootScanner([this](gc::RootVisitor &V) {
-    V.visitRange(Globals.data(), Globals.data() + Globals.size());
-    V.visitRange(Stack.data(), Stack.data() + StackTop);
-    for (const Frame &Fr : Frames)
-      if (!Fr.Regs.empty())
-        V.visitRange(Fr.Regs.data(), Fr.Regs.data() + Fr.Regs.size());
-  });
-}
+  DOp Code = DOp::Nop;
+  Opcode IrOp = Opcode::Nop; ///< For cycle-sample kinds.
+  uint8_t Size = 8;          ///< SExt/ZExt width in bytes.
+  Builtin Fn = Builtin::None; ///< CallBuiltin: which builtin.
+  uint32_t Cycles = 0;       ///< Modeled cost, charged before execution.
+  int32_t Dst = SinkSlot, A = ZeroSlot, B = ZeroSlot, C = ZeroSlot;
+  uint64_t ImmA = 0, ImmB = 0, ImmC = 0;
+  union {
+    BranchInfo Br;
+    CallInfo Call;
+    uint64_t Offset; ///< AddrLocal frame offset; FellOff block index.
+  };
 
-VM::~VM() = default;
+  DecodedInst() : Offset(0) {}
+};
 
-void VM::fail(const std::string &Message) {
-  if (!Halted) {
-    Result.Ok = false;
-    Result.Error = Message;
-    Halted = true;
-  }
-}
+struct VM::DecodedFunction {
+  struct Operand {
+    int32_t Idx;
+    uint64_t Imm;
+  };
 
-uint64_t VM::evalValue(const Frame &Fr, const Value &V) const {
-  switch (V.Kind) {
-  case Value::ValueKind::None:
-    return 0;
-  case Value::ValueKind::Reg:
-    return Fr.Regs[V.Reg];
-  case Value::ValueKind::Imm:
-    return static_cast<uint64_t>(V.Imm);
-  case Value::ValueKind::FImm:
-    return doubleToBits(V.FImm);
-  }
-  return 0;
-}
+  const Function *IR = nullptr;
+  uint32_t EntryPenalty = 0; ///< Spill cycles of entering block 0.
+  std::vector<DecodedInst> Code;
+  std::vector<Operand> Args; ///< Call arguments, by CallInfo::ArgBegin.
+};
 
-const std::vector<unsigned> &VM::pressurePenalties(const Function &F) {
-  auto It = PressureCache.find(&F);
-  if (It != PressureCache.end())
-    return It->second;
-  std::vector<unsigned> Penalties(F.Blocks.size(), 0);
-  opt::CFGInfo CFG(F);
-  opt::Liveness LV(F, CFG);
-  for (uint32_t B = 0; B < F.Blocks.size(); ++B) {
-    unsigned P = LV.maxPressure(B);
-    Penalties[B] =
-        P > Opts.Model.NumRegs ? (P - Opts.Model.NumRegs) * Opts.Model.CyclesSpill
-                               : 0;
-  }
-  return PressureCache.emplace(&F, std::move(Penalties)).first->second;
-}
-
-void VM::enterBlock(Frame &Fr, uint32_t Block) {
-  Fr.Block = Block;
-  Fr.IP = 0;
-  unsigned Penalty = pressurePenalties(*Fr.F)[Block];
-  Result.Cycles += Penalty;
-  Result.SpillCycles += Penalty;
-}
-
-void VM::pushFrame(const Function &F, const std::vector<uint64_t> &Args,
-                   uint32_t RetDst) {
-  Frame Fr;
-  Fr.F = &F;
-  Fr.Regs.assign(F.NumRegs, 0);
-  for (size_t I = 0; I < F.ParamRegs.size() && I < Args.size(); ++I)
-    Fr.Regs[F.ParamRegs[I]] = Args[I];
-  uint64_t Base = (StackTop + 15) & ~uint64_t(15);
-  if (Base + F.FrameSize > Stack.size()) {
-    fail("VM stack overflow");
-    return;
-  }
-  std::memset(Stack.data() + Base, 0, F.FrameSize);
-  Fr.FrameBase = Base;
-  StackTop = Base + F.FrameSize;
-  Fr.RetDst = RetDst;
-  Frames.push_back(std::move(Fr));
-  enterBlock(Frames.back(), 0);
-  Result.Cycles += Opts.Model.CyclesCall;
-}
-
-unsigned VM::instructionCycles(const Instruction &I) const {
-  const MachineModel &MM = Opts.Model;
+namespace {
+/// Modeled cycles of one IR instruction under \p MM.
+unsigned instructionCycles(const Instruction &I, const MachineModel &MM,
+                           bool KeepLiveCostsCall) {
   switch (I.Op) {
   case Opcode::KeepLive: // empty assembly sequence (or a real call in the
                          // naive implementation)
-    return Opts.KeepLiveCostsCall ? MM.CyclesCall : 0;
+    return KeepLiveCostsCall ? MM.CyclesCall : 0;
   case Opcode::Kill:
   case Opcode::Nop:
     return 0;
@@ -174,26 +160,294 @@ unsigned VM::instructionCycles(const Instruction &I) const {
   }
 }
 
-void VM::tagAllocSite(const Frame &Fr, const Instruction &I,
+DOp loadOp(uint8_t Size, bool Signed) {
+  switch (Size) {
+  case 1: return Signed ? DOp::Load1S : DOp::Load1U;
+  case 2: return Signed ? DOp::Load2S : DOp::Load2U;
+  case 4: return Signed ? DOp::Load4S : DOp::Load4U;
+  default: return DOp::Load8;
+  }
+}
+
+DOp storeOp(uint8_t Size) {
+  switch (Size) {
+  case 1: return DOp::Store1;
+  case 2: return DOp::Store2;
+  case 4: return DOp::Store4;
+  default: return DOp::Store8;
+  }
+}
+
+/// The decoded operation of the opcodes that map one to one.
+DOp simpleOp(Opcode Op) {
+  switch (Op) {
+#define GCSAFE_SAME_OP(X) case Opcode::X: return DOp::X;
+    GCSAFE_SAME_OP(Nop) GCSAFE_SAME_OP(Mov)
+    GCSAFE_SAME_OP(Add) GCSAFE_SAME_OP(Sub) GCSAFE_SAME_OP(Mul)
+    GCSAFE_SAME_OP(DivS) GCSAFE_SAME_OP(DivU) GCSAFE_SAME_OP(RemS)
+    GCSAFE_SAME_OP(RemU) GCSAFE_SAME_OP(And) GCSAFE_SAME_OP(Or)
+    GCSAFE_SAME_OP(Xor) GCSAFE_SAME_OP(Shl) GCSAFE_SAME_OP(ShrA)
+    GCSAFE_SAME_OP(ShrL) GCSAFE_SAME_OP(Neg) GCSAFE_SAME_OP(Not)
+    GCSAFE_SAME_OP(FAdd) GCSAFE_SAME_OP(FSub) GCSAFE_SAME_OP(FMul)
+    GCSAFE_SAME_OP(FDiv) GCSAFE_SAME_OP(FNeg)
+    GCSAFE_SAME_OP(CmpEq) GCSAFE_SAME_OP(CmpNe) GCSAFE_SAME_OP(CmpLtS)
+    GCSAFE_SAME_OP(CmpLeS) GCSAFE_SAME_OP(CmpGtS) GCSAFE_SAME_OP(CmpGeS)
+    GCSAFE_SAME_OP(CmpLtU) GCSAFE_SAME_OP(CmpLeU) GCSAFE_SAME_OP(CmpGtU)
+    GCSAFE_SAME_OP(CmpGeU) GCSAFE_SAME_OP(FCmpEq) GCSAFE_SAME_OP(FCmpNe)
+    GCSAFE_SAME_OP(FCmpLt) GCSAFE_SAME_OP(FCmpLe) GCSAFE_SAME_OP(FCmpGt)
+    GCSAFE_SAME_OP(FCmpGe) GCSAFE_SAME_OP(SExt) GCSAFE_SAME_OP(ZExt)
+    GCSAFE_SAME_OP(SIToFP) GCSAFE_SAME_OP(FPToSI)
+    GCSAFE_SAME_OP(AddrLocal) GCSAFE_SAME_OP(Ret)
+    GCSAFE_SAME_OP(KeepLive) GCSAFE_SAME_OP(CheckSameObj)
+#undef GCSAFE_SAME_OP
+  default:
+    assert(false && "opcode needs its own decoding");
+    return DOp::Nop;
+  }
+}
+} // namespace
+
+VM::VM(const Module &MIn, VMOptions Options) : M(MIn), Opts(std::move(Options)) {
+  gc::CollectorConfig GC;
+  GC.AllocCountTrigger = Opts.GcAllocTrigger;
+  GC.PoisonOnFree = true;
+  GC.AllInteriorPointers = Opts.AllInteriorPointers;
+  GC.EventLimit = Opts.GcEventLimit;
+  GC.Trace = Opts.Trace;
+  GC.Oom = Opts.GcOomPolicy;
+  GC.OomRetries = Opts.GcOomRetries;
+  GC.MaxHeapPages = Opts.GcMaxHeapPages;
+  GC.AuditEachCollection = Opts.GcAuditEachCollection;
+  GC.Faults = Opts.Faults;
+  GC.CollectDeadlineNs = Opts.GcDeadlineNs;
+  GC.Profile = Opts.Profile ? &Opts.Profile->Heap : nullptr;
+  C = std::make_unique<gc::Collector>(GC);
+  Check = std::make_unique<gc::PointerCheck>(*C);
+
+  Globals.assign(M.GlobalsSize ? M.GlobalsSize : 1, 0);
+  for (const GlobalVar &G : M.Globals)
+    if (!G.InitData.empty())
+      std::memcpy(Globals.data() + G.Offset, G.InitData.data(),
+                  G.InitData.size());
+  Stack.assign(Opts.StackSize, 0);
+  RegStack.assign(1024, 0);
+  Decoded.resize(M.Functions.size());
+
+  // GC-roots: "the machine stack, registers, and statically allocated
+  // memory". Registers are scanned bottom frame first, each frame's in
+  // ascending order: which reference marks an object first, and so the
+  // false-retention candidates, depends on this order.
+  C->addRootScanner([this](gc::RootVisitor &V) {
+    V.visitRange(Globals.data(), Globals.data() + Globals.size());
+    V.visitRange(Stack.data(), Stack.data() + StackTop);
+    for (const Frame &Fr : Frames) {
+      const uint64_t *Regs = RegStack.data() + Fr.RegBase + WindowSlots;
+      V.visitRange(Regs, Regs + Fr.F->IR->NumRegs);
+    }
+  });
+}
+
+VM::~VM() = default;
+
+void VM::fail(const std::string &Message) {
+  if (!Halted) {
+    Result.Ok = false;
+    Result.Error = Message;
+    Halted = true;
+    EventAt = 0;
+  }
+}
+
+const VM::DecodedFunction &VM::decoded(uint32_t Index) {
+  if (!Decoded[Index])
+    decode(Index);
+  return *Decoded[Index];
+}
+
+void VM::decode(uint32_t Index) {
+  const Function &F = M.Functions[Index];
+  auto D = std::make_unique<DecodedFunction>();
+  D->IR = &F;
+
+  // Register-pressure spill penalty of entering each block.
+  std::vector<uint32_t> Penalty(std::max<size_t>(F.Blocks.size(), 1), 0);
+  if (!F.Blocks.empty()) {
+    opt::CFGInfo CFG(F);
+    opt::Liveness LV(F, CFG);
+    for (uint32_t B = 0; B < F.Blocks.size(); ++B) {
+      unsigned P = LV.maxPressure(B);
+      Penalty[B] = P > Opts.Model.NumRegs
+                       ? (P - Opts.Model.NumRegs) * Opts.Model.CyclesSpill
+                       : 0;
+    }
+  }
+  D->EntryPenalty = Penalty[0];
+
+  // Flat layout: the blocks' instructions in order, plus a FellOff
+  // sentinel after any block that does not end in a terminator. Verified IR
+  // has none, so there a flat PC is the flat IR index.
+  auto Terminated = [](const BasicBlock &B) {
+    return !B.Insts.empty() && B.Insts.back().isTerminator();
+  };
+  std::vector<uint32_t> BlockPC(F.Blocks.size(), 0);
+  uint32_t PC = 0;
+  for (size_t B = 0; B < F.Blocks.size(); ++B) {
+    BlockPC[B] = PC;
+    PC += static_cast<uint32_t>(F.Blocks[B].Insts.size()) +
+          (Terminated(F.Blocks[B]) ? 0 : 1);
+  }
+
+  auto Operand = [](const Value &V, int32_t &Idx, uint64_t &Imm) {
+    Idx = ZeroSlot;
+    Imm = 0;
+    switch (V.Kind) {
+    case Value::ValueKind::None:
+      break;
+    case Value::ValueKind::Reg:
+      Idx = static_cast<int32_t>(V.Reg);
+      break;
+    case Value::ValueKind::Imm:
+      Imm = static_cast<uint64_t>(V.Imm);
+      break;
+    case Value::ValueKind::FImm:
+      Imm = doubleToBits(V.FImm);
+      break;
+    }
+  };
+
+  D->Code.reserve(PC ? PC : 1);
+  uint32_t Flat = 0;
+  for (size_t BI = 0; BI < F.Blocks.size(); ++BI) {
+    const BasicBlock &B = F.Blocks[BI];
+    for (const Instruction &I : B.Insts) {
+      DecodedInst X;
+      X.IrOp = I.Op;
+      X.Size = I.Size;
+      X.Cycles = instructionCycles(I, Opts.Model, Opts.KeepLiveCostsCall);
+      X.Dst = I.Dst == NoReg ? SinkSlot : static_cast<int32_t>(I.Dst);
+      Operand(I.A, X.A, X.ImmA);
+      Operand(I.B, X.B, X.ImmB);
+      Operand(I.C, X.C, X.ImmC);
+      switch (I.Op) {
+      case Opcode::Load:
+        X.B = ZeroSlot;
+        X.ImmB = 0;
+        [[fallthrough]];
+      case Opcode::LoadIdx:
+        X.Code = loadOp(I.Size, I.SignedLoad);
+        break;
+      case Opcode::Store:
+        // The stored value moves to C so both forms store C at A + B.
+        X.C = X.B;
+        X.ImmC = X.ImmB;
+        X.B = ZeroSlot;
+        X.ImmB = 0;
+        [[fallthrough]];
+      case Opcode::StoreIdx:
+        X.Code = storeOp(I.Size);
+        break;
+      case Opcode::AddrLocal:
+        X.Code = DOp::AddrLocal;
+        X.Offset = static_cast<uint64_t>(I.Aux);
+        break;
+      case Opcode::AddrGlobal:
+        // The globals area never moves: a constant address.
+        X.Code = DOp::Mov;
+        X.A = ZeroSlot;
+        X.ImmA = reinterpret_cast<uint64_t>(Globals.data()) +
+                 static_cast<uint64_t>(I.Aux);
+        break;
+      case Opcode::Jmp:
+      case Opcode::Br:
+        X.Code = I.Op == Opcode::Jmp ? DOp::Jmp : DOp::Br;
+        X.Br.Target[0] = BlockPC[I.Blk1];
+        X.Br.Penalty[0] = Penalty[I.Blk1];
+        X.Br.Target[1] = I.Op == Opcode::Br ? BlockPC[I.Blk2] : 0;
+        X.Br.Penalty[1] = I.Op == Opcode::Br ? Penalty[I.Blk2] : 0;
+        break;
+      case Opcode::Call:
+        X.Code = I.BuiltinCallee != Builtin::None ? DOp::CallBuiltin
+                 : I.Callee >= 0                  ? DOp::CallDirect
+                                                  : DOp::CallIndirect;
+        X.Call.ArgBegin = static_cast<uint32_t>(D->Args.size());
+        X.Call.ArgCount = static_cast<uint32_t>(I.Args.size());
+        X.Call.Callee = I.Callee;
+        X.Call.Flat = Flat;
+        X.Fn = I.BuiltinCallee;
+        for (const Value &V : I.Args) {
+          DecodedFunction::Operand O;
+          Operand(V, O.Idx, O.Imm);
+          D->Args.push_back(O);
+        }
+        break;
+      case Opcode::Kill:
+        // Zeroes A's register; a non-register Kill zeroes the sink.
+        X.Code = DOp::Kill;
+        X.Dst = I.A.isReg() ? static_cast<int32_t>(I.A.Reg) : SinkSlot;
+        break;
+      default:
+        X.Code = simpleOp(I.Op);
+        break;
+      }
+      D->Code.push_back(X);
+      ++Flat;
+    }
+    if (!Terminated(B)) {
+      DecodedInst X;
+      X.Code = DOp::FellOff;
+      X.Offset = BI;
+      D->Code.push_back(X);
+    }
+  }
+  if (D->Code.empty()) { // no blocks at all
+    DecodedInst X;
+    X.Code = DOp::FellOff;
+    X.Offset = Never;
+    D->Code.push_back(X);
+  }
+  Decoded[Index] = std::move(D);
+}
+
+uint64_t *VM::pushFrame(const DecodedFunction &F, const DecodedInst *Call,
+                        const DecodedInst *RetPC) {
+  uint64_t Base = (StackTop + 15) & ~uint64_t(15);
+  if (Base + F.IR->FrameSize > Stack.size() ||
+      Frames.size() >= Opts.StackSize / MinFrameBytes) {
+    fail("VM stack overflow");
+    return nullptr;
+  }
+  uint64_t Window = WindowSlots + F.IR->NumRegs;
+  if (RegTop + Window > RegStack.size())
+    RegStack.resize(std::max(RegTop + Window, 2 * RegStack.size()));
+  uint64_t *Regs = RegStack.data() + RegTop + WindowSlots;
+  std::memset(Regs - WindowSlots, 0, Window * sizeof(uint64_t));
+  if (Call) {
+    const Frame &Caller = Frames.back();
+    const uint64_t *CallerRegs =
+        RegStack.data() + Caller.RegBase + WindowSlots;
+    const DecodedFunction::Operand *Args =
+        Caller.F->Args.data() + Call->Call.ArgBegin;
+    const std::vector<uint32_t> &Params = F.IR->ParamRegs;
+    size_t N = std::min<size_t>(Params.size(), Call->Call.ArgCount);
+    for (size_t I = 0; I < N; ++I)
+      Regs[Params[I]] = CallerRegs[Args[I].Idx] + Args[I].Imm;
+  }
+  std::memset(Stack.data() + Base, 0, F.IR->FrameSize);
+  Frames.push_back({&F, RegTop, Base, RetPC, Call ? Call->Dst : SinkSlot});
+  RegTop += Window;
+  StackTop = Base + F.IR->FrameSize;
+  Result.Cycles += F.EntryPenalty + Opts.Model.CyclesCall;
+  Result.SpillCycles += F.EntryPenalty;
+  return Regs;
+}
+
+void VM::tagAllocSite(const DecodedFunction &F, const DecodedInst &I,
                       const char *Kind) {
   if (!Opts.Profile)
     return;
   auto It = SiteCache.find(&I);
   if (It == SiteCache.end()) {
-    auto OffIt = BlockOffsetCache.find(Fr.F);
-    if (OffIt == BlockOffsetCache.end()) {
-      std::vector<uint32_t> Offsets;
-      Offsets.reserve(Fr.F->Blocks.size());
-      uint32_t Off = 0;
-      for (const BasicBlock &B : Fr.F->Blocks) {
-        Offsets.push_back(Off);
-        Off += static_cast<uint32_t>(B.Insts.size());
-      }
-      OffIt = BlockOffsetCache.emplace(Fr.F, std::move(Offsets)).first;
-    }
-    // Fr.IP was already advanced past I by the dispatch loop.
-    uint32_t Flat = OffIt->second[Fr.Block] + Fr.IP - 1;
-    size_t Site = Opts.Profile->Heap.internSite(Fr.F->Name, Flat, Kind);
+    size_t Site = Opts.Profile->Heap.internSite(F.IR->Name, I.Call.Flat, Kind);
     It = SiteCache.emplace(&I, Site).first;
   }
   C->setAllocSite(It->second);
@@ -202,8 +456,8 @@ void VM::tagAllocSite(const Frame &Fr, const Instruction &I,
 namespace {
 /// Sampling-profiler category for the executing instruction: the cycle
 /// attribution buckets of RunResult, refined with memory/branch/call/alu.
-const char *sampleKind(const Instruction &I) {
-  switch (I.Op) {
+const char *sampleKind(Opcode Op, Builtin Callee) {
+  switch (Op) {
   case Opcode::KeepLive:
     return "keep_live";
   case Opcode::CheckSameObj:
@@ -221,7 +475,7 @@ const char *sampleKind(const Instruction &I) {
   case Opcode::Br:
     return "branch";
   case Opcode::Call:
-    switch (I.BuiltinCallee) {
+    switch (Callee) {
     case Builtin::GcMalloc:
     case Builtin::GcMallocAtomic:
     case Builtin::Malloc:
@@ -243,23 +497,29 @@ const char *sampleKind(const Instruction &I) {
 }
 } // namespace
 
-void VM::recordCycleSample(const Function *Leaf, const Instruction &I) {
+void VM::recordCycleSample(const DecodedInst &I) {
   uint64_t Weight = Result.Cycles - LastSampleCycles;
   LastSampleCycles = Result.Cycles;
-  // Stack at sample time; the executing function may already have returned
-  // (Ret) or called out (Call), so force it to be the leaf.
+  // The executing function may already have returned (Ret) or called out
+  // (Call), so find it by the instruction and force it to be the leaf.
+  const DecodedFunction *Leaf = nullptr;
+  for (const auto &D : Decoded)
+    if (D && &I >= D->Code.data() && &I < D->Code.data() + D->Code.size())
+      Leaf = D.get();
+  assert(Leaf && "sampled instruction belongs to no function");
   std::string Stack;
   for (const Frame &Fr : Frames) {
     if (!Stack.empty())
       Stack += ';';
-    Stack += Fr.F->Name;
+    Stack += Fr.F->IR->Name;
   }
   if (Frames.empty() || Frames.back().F != Leaf) {
     if (!Stack.empty())
       Stack += ';';
-    Stack += Leaf->Name;
+    Stack += Leaf->IR->Name;
   }
-  Opts.Profile->Cycles.addSample(Stack, Leaf->Name, sampleKind(I), Weight);
+  Opts.Profile->Cycles.addSample(Stack, Leaf->IR->Name,
+                                 sampleKind(I.IrOp, I.Fn), Weight);
 }
 
 bool VM::checkMemoryAccess(uint64_t Addr, const char *What) {
@@ -273,14 +533,14 @@ bool VM::checkMemoryAccess(uint64_t Addr, const char *What) {
   return true;
 }
 
-void VM::runBuiltin(Frame &Fr, const Instruction &I) {
+void VM::runBuiltin(const DecodedFunction &F, const DecodedInst &I,
+                    uint64_t *Regs) {
+  const DecodedFunction::Operand *Args = F.Args.data() + I.Call.ArgBegin;
   auto Arg = [&](size_t Idx) -> uint64_t {
-    return Idx < I.Args.size() ? evalValue(Fr, I.Args[Idx]) : 0;
+    return Idx < I.Call.ArgCount ? Regs[Args[Idx].Idx] + Args[Idx].Imm : 0;
   };
-  auto SetDst = [&](uint64_t V) {
-    if (I.Dst != NoReg)
-      Fr.Regs[I.Dst] = V;
-  };
+  auto SetDst = [&](uint64_t V) { Regs[I.Dst] = V; };
+  const char *FnName = F.IR->Name.c_str();
 
   // Exhaustion is a structured run error, never a crash: the typed
   // allocation surface turns a failed request into RunResult::Error.
@@ -295,7 +555,7 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     return R.Ptr;
   };
 
-  switch (I.BuiltinCallee) {
+  switch (I.Fn) {
   case Builtin::GcMalloc:
   case Builtin::Malloc: {
     Result.Cycles += Opts.Model.CyclesAllocator;
@@ -303,8 +563,8 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     uint64_t Size = Arg(0);
     ++Result.AllocCount;
     Result.AllocBytes += Size;
-    tagAllocSite(Fr, I,
-                 I.BuiltinCallee == Builtin::Malloc ? "malloc" : "GC_malloc");
+    tagAllocSite(F, I,
+                 I.Fn == Builtin::Malloc ? "malloc" : "GC_malloc");
     void *P = AllocOrFail(Size, false, "GC_malloc");
     if (!P)
       return;
@@ -317,7 +577,7 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     uint64_t Size = Arg(0);
     ++Result.AllocCount;
     Result.AllocBytes += Size;
-    tagAllocSite(Fr, I, "GC_malloc_atomic");
+    tagAllocSite(F, I, "GC_malloc_atomic");
     void *P = AllocOrFail(Size, true, "GC_malloc_atomic");
     if (!P)
       return;
@@ -336,7 +596,7 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     uint64_t Size = N * Each;
     ++Result.AllocCount;
     Result.AllocBytes += Size;
-    tagAllocSite(Fr, I, "calloc");
+    tagAllocSite(F, I, "calloc");
     void *P = AllocOrFail(Size, false, "calloc");
     if (!P)
       return;
@@ -350,7 +610,7 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     uint64_t Size = Arg(1);
     ++Result.AllocCount;
     Result.AllocBytes += Size;
-    tagAllocSite(Fr, I, "realloc");
+    tagAllocSite(F, I, "realloc");
     void *New = AllocOrFail(Size, false, "realloc");
     if (!New)
       return;
@@ -373,11 +633,11 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     std::snprintf(Buf, sizeof(Buf), "%" PRId64,
                   static_cast<int64_t>(Arg(0)));
     Result.Output += Buf;
-    return;
+    break;
   }
   case Builtin::PrintChar:
     Result.Output.push_back(static_cast<char>(Arg(0)));
-    return;
+    break;
   case Builtin::PrintStr: {
     const char *S = reinterpret_cast<const char *>(Arg(0));
     if (!S) {
@@ -386,13 +646,13 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     }
     size_t Len = strnlen(S, 1 << 20);
     Result.Output.append(S, Len);
-    return;
+    break;
   }
   case Builtin::PrintDouble: {
     char Buf[48];
     std::snprintf(Buf, sizeof(Buf), "%g", bitsToDouble(Arg(0)));
     Result.Output += Buf;
-    return;
+    break;
   }
   case Builtin::AssertTrue:
     if (Arg(0) == 0)
@@ -415,8 +675,7 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     Result.CheckCycles += Opts.Model.CyclesCheck;
     size_t Before = Check->violationCount();
     Check->sameObj(reinterpret_cast<const void *>(Arg(0)),
-                   reinterpret_cast<const void *>(Arg(1)),
-                   Fr.F->Name.c_str());
+                   reinterpret_cast<const void *>(Arg(1)), FnName);
     SetDst(Arg(0));
     if (Opts.HaltOnCheckViolation && Check->violationCount() != Before)
       fail("pointer-arithmetic check violation");
@@ -431,11 +690,11 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
       return;
     size_t Before = Check->violationCount();
     auto *PP = reinterpret_cast<void **>(Slot);
-    void *Out = I.BuiltinCallee == Builtin::PreIncr
+    void *Out = I.Fn == Builtin::PreIncr
                     ? Check->preIncr(PP, static_cast<ptrdiff_t>(Arg(1)),
-                                     Fr.F->Name.c_str())
+                                     FnName)
                     : Check->postIncr(PP, static_cast<ptrdiff_t>(Arg(1)),
-                                      Fr.F->Name.c_str());
+                                      FnName);
     SetDst(reinterpret_cast<uint64_t>(Out));
     if (Opts.HaltOnCheckViolation && Check->violationCount() != Before)
       fail("pointer-arithmetic check violation");
@@ -445,6 +704,392 @@ void VM::runBuiltin(Frame &Fr, const Instruction &I) {
     fail("call to unresolved builtin");
     return;
   }
+  // Output grew: the limit is checked before the next instruction.
+  if (Result.Output.size() > Opts.MaxOutputBytes)
+    EventAt = 0;
+}
+
+//===----------------------------------------------------------------------===//
+// Execution
+//===----------------------------------------------------------------------===//
+
+/// Charges an instruction that is counted but stopped before it executes
+/// (budget, output limit, watchdog), exactly as if it had started.
+void VM::chargeUnexecuted(const DecodedInst &I) {
+  ++Result.InstructionsExecuted;
+  Result.Cycles += I.Cycles;
+  switch (I.Code) {
+  case DOp::KeepLive:
+    ++Result.KeepLiveExecuted;
+    Result.KeepLiveCycles += I.Cycles;
+    break;
+  case DOp::Kill:
+    ++Result.KillsExecuted;
+    break;
+  case DOp::CheckSameObj:
+    Result.CheckCycles += I.Cycles;
+    break;
+  default:
+    break;
+  }
+}
+
+/// The slow path between two instructions, taken once the instruction
+/// count reaches EventAt. Runs the checks that follow \p Executed (cycle
+/// sample, periodic collection; none before the first instruction), stops
+/// if the run is over, then runs the checks that precede \p Next (falling
+/// off a block, instruction budget, output limit, deadline watchdogs) and
+/// sets the next EventAt. Returns false when execution stops.
+bool VM::handleEvents(const DecodedInst *Executed, const DecodedInst *Next) {
+  uint64_t N = Result.InstructionsExecuted;
+  if (Executed) {
+    // The sample period elapsed sometime during this instruction (it may
+    // charge several cycle sources at once: spill penalties, builtin
+    // costs); attribute the whole gap to it.
+    uint64_t SampleEvery = Opts.Profile ? Opts.Profile->SamplePeriodCycles : 0;
+    if (SampleEvery && Result.Cycles - LastSampleCycles >= SampleEvery)
+      recordCycleSample(*Executed);
+    if (N == NextGcAt) {
+      C->collect();
+      NextGcAt += Opts.GcInstructionPeriod;
+    }
+  }
+  if (Halted || Frames.empty())
+    return false;
+
+  if (Next->Code == DOp::FellOff) {
+    const Function &F = *Frames.back().F->IR;
+    std::string Block =
+        Next->Offset < F.Blocks.size() ? F.Blocks[Next->Offset].Name : "";
+    fail("control fell off the end of block '" + Block + "' in " + F.Name);
+    return false;
+  }
+  const char *Stop = nullptr;
+  bool Watchdogs = Opts.VmDeadlineNs || Opts.GcDeadlineNs;
+  if (N + 1 > Opts.MaxInstructions) {
+    Stop = "instruction budget exceeded";
+  } else if (Result.Output.size() > Opts.MaxOutputBytes) {
+    Stop = "output limit exceeded";
+  } else if (Watchdogs && ((N + 1) & 511) == 0) {
+    // Deadline watchdogs: wall clock is polled every 512 instructions to
+    // keep the hot loop free of syscalls; the GC deadline is detected by
+    // the collector itself and only acted on here.
+    if (Opts.VmDeadlineNs &&
+        support::monotonicNowNs() - RunStartNs > Opts.VmDeadlineNs) {
+      Result.WatchdogTimeout = true;
+      if (Opts.Trace)
+        Opts.Trace->emit("robust", "vm.deadline",
+                         support::monotonicNowNs() - RunStartNs,
+                         Opts.VmDeadlineNs);
+      Stop = "watchdog: VM run deadline exceeded";
+    } else if (Opts.GcDeadlineNs && C->stats().GcDeadlineExceeded > 0) {
+      Result.WatchdogTimeout = true;
+      Stop = "watchdog: GC collection deadline exceeded";
+    }
+  }
+  if (Stop) {
+    chargeUnexecuted(*Next);
+    fail(Stop);
+    return false;
+  }
+
+  uint64_t At = std::min(Opts.MaxInstructions, NextGcAt);
+  if (Watchdogs)
+    At = std::min(At, ((N + 1) & ~uint64_t(511)) + 511);
+  if (Opts.Profile && Opts.Profile->SamplePeriodCycles)
+    At = N + 1;
+  EventAt = At;
+  return true;
+}
+
+/// The interpreter loop over decoded instructions. Per instruction it
+/// counts, charges the precomputed cycles and executes; every other check
+/// sits behind the single compare against EventAt. The instruction and
+/// cycle counts and EventAt live in locals while the loop runs and are
+/// written back around every call that reads or changes them.
+void VM::execute() {
+  const DecodedInst *Code = nullptr, *PC = nullptr;
+  uint64_t *R = nullptr;
+  uint64_t FrameAddr = 0, N = 0, Cycles = 0, Events = 0;
+  bool InGlobalInit = M.GlobalInitIndex >= 0;
+
+  // Resume in the frame now on top (at its start, after a call or a
+  // return).
+  auto Resume = [&](const DecodedInst *To) {
+    Code = Frames.back().F->Code.data();
+    PC = To;
+    R = RegStack.data() + Frames.back().RegBase + WindowSlots;
+    FrameAddr =
+        reinterpret_cast<uint64_t>(Stack.data()) + Frames.back().FrameBase;
+  };
+  auto Store = [&] {
+    Result.InstructionsExecuted = N;
+    Result.Cycles = Cycles;
+  };
+  auto Load = [&] {
+    N = Result.InstructionsExecuted;
+    Cycles = Result.Cycles;
+    Events = EventAt;
+  };
+  Resume(Frames.back().F->Code.data());
+  if (!handleEvents(nullptr, PC))
+    return;
+  Load();
+
+#define OPA (R[I->A] + I->ImmA)
+#define OPB (R[I->B] + I->ImmB)
+#define OPC (R[I->C] + I->ImmC)
+#define DST R[I->Dst]
+#define SIGNED(X) static_cast<int64_t>(X)
+#define FP(X) bitsToDouble(X)
+#define FAIL(Msg)                                                              \
+  do {                                                                         \
+    fail(Msg);                                                                 \
+    Events = 0;                                                                \
+  } while (0)
+  for (;;) {
+    const DecodedInst *I = PC++;
+    ++N;
+    Cycles += I->Cycles;
+    switch (I->Code) {
+    case DOp::Nop: break;
+    case DOp::Mov: DST = OPA; break;
+    case DOp::Add: DST = OPA + OPB; break;
+    case DOp::Sub: DST = OPA - OPB; break;
+    case DOp::Mul: DST = OPA * OPB; break;
+    case DOp::DivS: {
+      int64_t Den = SIGNED(OPB);
+      if (Den == 0)
+        FAIL("division by zero");
+      else
+        DST = static_cast<uint64_t>(SIGNED(OPA) / Den);
+      break;
+    }
+    case DOp::DivU: {
+      uint64_t Den = OPB;
+      if (Den == 0)
+        FAIL("division by zero");
+      else
+        DST = OPA / Den;
+      break;
+    }
+    case DOp::RemS: {
+      int64_t Den = SIGNED(OPB);
+      if (Den == 0)
+        FAIL("remainder by zero");
+      else
+        DST = static_cast<uint64_t>(SIGNED(OPA) % Den);
+      break;
+    }
+    case DOp::RemU: {
+      uint64_t Den = OPB;
+      if (Den == 0)
+        FAIL("remainder by zero");
+      else
+        DST = OPA % Den;
+      break;
+    }
+    case DOp::And: DST = OPA & OPB; break;
+    case DOp::Or: DST = OPA | OPB; break;
+    case DOp::Xor: DST = OPA ^ OPB; break;
+    case DOp::Shl: DST = OPA << (OPB & 63); break;
+    case DOp::ShrA: DST = static_cast<uint64_t>(SIGNED(OPA) >> (OPB & 63)); break;
+    case DOp::ShrL: DST = OPA >> (OPB & 63); break;
+    case DOp::Neg: DST = static_cast<uint64_t>(-SIGNED(OPA)); break;
+    case DOp::Not: DST = ~OPA; break;
+    case DOp::FAdd: DST = doubleToBits(FP(OPA) + FP(OPB)); break;
+    case DOp::FSub: DST = doubleToBits(FP(OPA) - FP(OPB)); break;
+    case DOp::FMul: DST = doubleToBits(FP(OPA) * FP(OPB)); break;
+    case DOp::FDiv: DST = doubleToBits(FP(OPA) / FP(OPB)); break;
+    case DOp::FNeg: DST = doubleToBits(-FP(OPA)); break;
+    case DOp::CmpEq: DST = OPA == OPB; break;
+    case DOp::CmpNe: DST = OPA != OPB; break;
+    case DOp::CmpLtS: DST = SIGNED(OPA) < SIGNED(OPB); break;
+    case DOp::CmpLeS: DST = SIGNED(OPA) <= SIGNED(OPB); break;
+    case DOp::CmpGtS: DST = SIGNED(OPA) > SIGNED(OPB); break;
+    case DOp::CmpGeS: DST = SIGNED(OPA) >= SIGNED(OPB); break;
+    case DOp::CmpLtU: DST = OPA < OPB; break;
+    case DOp::CmpLeU: DST = OPA <= OPB; break;
+    case DOp::CmpGtU: DST = OPA > OPB; break;
+    case DOp::CmpGeU: DST = OPA >= OPB; break;
+    case DOp::FCmpEq: DST = FP(OPA) == FP(OPB); break;
+    case DOp::FCmpNe: DST = FP(OPA) != FP(OPB); break;
+    case DOp::FCmpLt: DST = FP(OPA) < FP(OPB); break;
+    case DOp::FCmpLe: DST = FP(OPA) <= FP(OPB); break;
+    case DOp::FCmpGt: DST = FP(OPA) > FP(OPB); break;
+    case DOp::FCmpGe: DST = FP(OPA) >= FP(OPB); break;
+    case DOp::SExt: {
+      unsigned Bits = I->Size * 8;
+      uint64_t V = OPA;
+      if (Bits < 64) {
+        uint64_t Mask = (uint64_t(1) << Bits) - 1;
+        V &= Mask;
+        if (V >> (Bits - 1))
+          V |= ~Mask;
+      }
+      DST = V;
+      break;
+    }
+    case DOp::ZExt: {
+      unsigned Bits = I->Size * 8;
+      uint64_t V = OPA;
+      if (Bits < 64)
+        V &= (uint64_t(1) << Bits) - 1;
+      DST = V;
+      break;
+    }
+    case DOp::SIToFP: DST = doubleToBits(static_cast<double>(SIGNED(OPA))); break;
+    case DOp::FPToSI:
+      DST = static_cast<uint64_t>(static_cast<int64_t>(FP(OPA)));
+      break;
+#define GCSAFE_LOAD(OP, T)                                                     \
+  case DOp::OP: {                                                                   \
+    uint64_t Addr = OPA + OPB;                                                 \
+    if (!checkMemoryAccess(Addr, "load")) {                                    \
+      Events = 0;                                                              \
+      break;                                                                    \
+    }                                                                          \
+    T V;                                                                       \
+    std::memcpy(&V, reinterpret_cast<const void *>(Addr), sizeof(V));         \
+    DST = static_cast<uint64_t>(V);                                            \
+    break;                                                                      \
+  }
+    GCSAFE_LOAD(Load1S, int8_t)
+    GCSAFE_LOAD(Load1U, uint8_t)
+    GCSAFE_LOAD(Load2S, int16_t)
+    GCSAFE_LOAD(Load2U, uint16_t)
+    GCSAFE_LOAD(Load4S, int32_t)
+    GCSAFE_LOAD(Load4U, uint32_t)
+    GCSAFE_LOAD(Load8, uint64_t)
+#undef GCSAFE_LOAD
+#define GCSAFE_STORE(OP, T)                                                    \
+  case DOp::OP: {                                                                   \
+    uint64_t Addr = OPA + OPB;                                                 \
+    T V = static_cast<T>(OPC);                                                 \
+    if (!checkMemoryAccess(Addr, "store")) {                                   \
+      Events = 0;                                                              \
+      break;                                                                    \
+    }                                                                          \
+    std::memcpy(reinterpret_cast<void *>(Addr), &V, sizeof(V));               \
+    break;                                                                      \
+  }
+    GCSAFE_STORE(Store1, uint8_t)
+    GCSAFE_STORE(Store2, uint16_t)
+    GCSAFE_STORE(Store4, uint32_t)
+    GCSAFE_STORE(Store8, uint64_t)
+#undef GCSAFE_STORE
+    case DOp::AddrLocal: DST = FrameAddr + I->Offset; break;
+    case DOp::Jmp: {
+      PC = Code + I->Br.Target[0];
+      if (uint32_t Spill = I->Br.Penalty[0]) {
+        Cycles += Spill;
+        Result.SpillCycles += Spill;
+      }
+      break;
+    }
+    case DOp::Br: {
+      unsigned Side = OPA ? 0 : 1;
+      PC = Code + I->Br.Target[Side];
+      if (uint32_t Spill = I->Br.Penalty[Side]) {
+        Cycles += Spill;
+        Result.SpillCycles += Spill;
+      }
+      break;
+    }
+    case DOp::Ret: {
+      uint64_t RetVal = OPA;
+      Frame Done = Frames.back();
+      Frames.pop_back();
+      StackTop = Done.FrameBase;
+      RegTop = Done.RegBase;
+      if (!Frames.empty()) {
+        Resume(Done.RetPC);
+        R[Done.RetDst] = RetVal;
+      } else if (InGlobalInit) {
+        InGlobalInit = false;
+        StackTop = 0;
+        Store();
+        if (pushFrame(decoded(static_cast<uint32_t>(M.MainIndex)), nullptr,
+                      nullptr))
+          Resume(Frames.back().F->Code.data());
+        Load();
+      } else {
+        Result.ExitCode = static_cast<long>(RetVal);
+        Events = 0;
+      }
+      break;
+    }
+    case DOp::CallDirect:
+    case DOp::CallIndirect:
+    case DOp::CallBuiltin: {
+      Store();
+      if (Opts.GcCallPeriod && --CallsUntilGc == 0) {
+        CallsUntilGc = Opts.GcCallPeriod;
+        C->collect(); // call-site-only collection (optimization 4 regime)
+      }
+      if (I->Code == DOp::CallBuiltin) {
+        runBuiltin(*Frames.back().F, *I, R);
+      } else {
+        int32_t Callee = I->Call.Callee;
+        if (I->Code == DOp::CallIndirect)
+          Callee = static_cast<int32_t>(SIGNED(OPA) - FuncPtrBase);
+        if (Callee < 0 ||
+            static_cast<size_t>(Callee) >= M.Functions.size()) {
+          fail("indirect call through a non-function value");
+        } else {
+          const DecodedFunction &F = decoded(static_cast<uint32_t>(Callee));
+          if (pushFrame(F, I, PC))
+            Resume(F.Code.data());
+        }
+      }
+      Load();
+      break;
+    }
+    case DOp::KeepLive: {
+      ++Result.KeepLiveExecuted;
+      Result.KeepLiveCycles += I->Cycles;
+      DST = OPA;
+      break;
+    }
+    case DOp::CheckSameObj: {
+      Result.CheckCycles += I->Cycles;
+      size_t Before = Check->violationCount();
+      Check->sameObj(reinterpret_cast<const void *>(OPA),
+                     reinterpret_cast<const void *>(OPB),
+                     Frames.back().F->IR->Name.c_str());
+      DST = OPA;
+      if (Opts.HaltOnCheckViolation && Check->violationCount() != Before)
+        FAIL("pointer-arithmetic check violation");
+      break;
+    }
+    case DOp::Kill: {
+      ++Result.KillsExecuted;
+      DST = 0;
+      break;
+    }
+    case DOp::FellOff: {
+      // Reached without a pending event: un-count it and stop as the
+      // event path would have.
+      --N;
+      Store();
+      handleEvents(nullptr, I);
+      return;
+    }
+    }
+    if (N >= Events) {
+      Store();
+      if (!handleEvents(I, PC))
+        return;
+      Load();
+    }
+  }
+#undef FAIL
+#undef OPA
+#undef OPB
+#undef OPC
+#undef DST
+#undef SIGNED
+#undef FP
 }
 
 RunResult VM::run() {
@@ -456,337 +1101,16 @@ RunResult VM::run() {
     return Result;
   }
 
-  if (M.GlobalInitIndex >= 0)
-    pushFrame(M.Functions[M.GlobalInitIndex], {}, NoReg);
-
-  bool InGlobalInit = M.GlobalInitIndex >= 0;
-  bool MainStarted = !InGlobalInit;
-  if (!InGlobalInit)
-    pushFrame(M.Functions[M.MainIndex], {}, NoReg);
-
-  const uint64_t SampleEvery =
-      Opts.Profile ? Opts.Profile->SamplePeriodCycles : 0;
+  NextGcAt = Opts.GcInstructionPeriod ? Opts.GcInstructionPeriod : Never;
+  CallsUntilGc = Opts.GcCallPeriod;
   LastSampleCycles = 0;
+  RunStartNs = Opts.VmDeadlineNs || Opts.GcDeadlineNs
+                   ? support::monotonicNowNs()
+                   : 0;
 
-  const bool Watchdogs = Opts.VmDeadlineNs || Opts.GcDeadlineNs;
-  const uint64_t RunStartNs = Watchdogs ? support::monotonicNowNs() : 0;
-
-  while (!Halted && !Frames.empty()) {
-    Frame &Fr = Frames.back();
-    const BasicBlock &Blk = Fr.F->Blocks[Fr.Block];
-    if (Fr.IP >= Blk.Insts.size()) {
-      fail("control fell off the end of block '" + Blk.Name + "' in " +
-           Fr.F->Name);
-      break;
-    }
-    const Instruction &I = Blk.Insts[Fr.IP];
-    const Function *ExecF = Fr.F;
-    ++Fr.IP;
-
-    ++Result.InstructionsExecuted;
-    unsigned InstCycles = instructionCycles(I);
-    Result.Cycles += InstCycles;
-    switch (I.Op) {
-    case Opcode::KeepLive:
-      ++Result.KeepLiveExecuted;
-      Result.KeepLiveCycles += InstCycles;
-      break;
-    case Opcode::Kill:
-      ++Result.KillsExecuted;
-      break;
-    case Opcode::CheckSameObj:
-      Result.CheckCycles += InstCycles;
-      break;
-    default:
-      break;
-    }
-    if (Result.InstructionsExecuted > Opts.MaxInstructions) {
-      fail("instruction budget exceeded");
-      break;
-    }
-    if (Result.Output.size() > Opts.MaxOutputBytes) {
-      fail("output limit exceeded");
-      break;
-    }
-    // Deadline watchdogs: wall clock is polled every ~512 instructions to
-    // keep the hot loop free of syscalls; the GC deadline is detected by
-    // the collector itself and only acted on here.
-    if (Watchdogs && (Result.InstructionsExecuted & 511) == 0) {
-      if (Opts.VmDeadlineNs &&
-          support::monotonicNowNs() - RunStartNs > Opts.VmDeadlineNs) {
-        Result.WatchdogTimeout = true;
-        if (Opts.Trace)
-          Opts.Trace->emit("robust", "vm.deadline",
-                           support::monotonicNowNs() - RunStartNs,
-                           Opts.VmDeadlineNs);
-        fail("watchdog: VM run deadline exceeded");
-        break;
-      }
-      if (Opts.GcDeadlineNs && C->stats().GcDeadlineExceeded > 0) {
-        Result.WatchdogTimeout = true;
-        fail("watchdog: GC collection deadline exceeded");
-        break;
-      }
-    }
-
-    auto A = [&] { return evalValue(Fr, I.A); };
-    auto B = [&] { return evalValue(Fr, I.B); };
-    auto SetDst = [&](uint64_t V) {
-      if (I.Dst != NoReg)
-        Fr.Regs[I.Dst] = V;
-    };
-
-    switch (I.Op) {
-    case Opcode::Nop:
-      break;
-    case Opcode::Mov:
-      SetDst(A());
-      break;
-    case Opcode::Add: SetDst(A() + B()); break;
-    case Opcode::Sub: SetDst(A() - B()); break;
-    case Opcode::Mul: SetDst(A() * B()); break;
-    case Opcode::DivS: {
-      int64_t Den = static_cast<int64_t>(B());
-      if (Den == 0) {
-        fail("division by zero");
-        break;
-      }
-      SetDst(static_cast<uint64_t>(static_cast<int64_t>(A()) / Den));
-      break;
-    }
-    case Opcode::DivU: {
-      uint64_t Den = B();
-      if (Den == 0) {
-        fail("division by zero");
-        break;
-      }
-      SetDst(A() / Den);
-      break;
-    }
-    case Opcode::RemS: {
-      int64_t Den = static_cast<int64_t>(B());
-      if (Den == 0) {
-        fail("remainder by zero");
-        break;
-      }
-      SetDst(static_cast<uint64_t>(static_cast<int64_t>(A()) % Den));
-      break;
-    }
-    case Opcode::RemU: {
-      uint64_t Den = B();
-      if (Den == 0) {
-        fail("remainder by zero");
-        break;
-      }
-      SetDst(A() % Den);
-      break;
-    }
-    case Opcode::And: SetDst(A() & B()); break;
-    case Opcode::Or: SetDst(A() | B()); break;
-    case Opcode::Xor: SetDst(A() ^ B()); break;
-    case Opcode::Shl: SetDst(A() << (B() & 63)); break;
-    case Opcode::ShrA:
-      SetDst(static_cast<uint64_t>(static_cast<int64_t>(A()) >> (B() & 63)));
-      break;
-    case Opcode::ShrL: SetDst(A() >> (B() & 63)); break;
-    case Opcode::Neg:
-      SetDst(static_cast<uint64_t>(-static_cast<int64_t>(A())));
-      break;
-    case Opcode::Not: SetDst(~A()); break;
-    case Opcode::FAdd:
-      SetDst(doubleToBits(bitsToDouble(A()) + bitsToDouble(B())));
-      break;
-    case Opcode::FSub:
-      SetDst(doubleToBits(bitsToDouble(A()) - bitsToDouble(B())));
-      break;
-    case Opcode::FMul:
-      SetDst(doubleToBits(bitsToDouble(A()) * bitsToDouble(B())));
-      break;
-    case Opcode::FDiv:
-      SetDst(doubleToBits(bitsToDouble(A()) / bitsToDouble(B())));
-      break;
-    case Opcode::FNeg: SetDst(doubleToBits(-bitsToDouble(A()))); break;
-    case Opcode::CmpEq: SetDst(A() == B()); break;
-    case Opcode::CmpNe: SetDst(A() != B()); break;
-    case Opcode::CmpLtS:
-      SetDst(static_cast<int64_t>(A()) < static_cast<int64_t>(B()));
-      break;
-    case Opcode::CmpLeS:
-      SetDst(static_cast<int64_t>(A()) <= static_cast<int64_t>(B()));
-      break;
-    case Opcode::CmpGtS:
-      SetDst(static_cast<int64_t>(A()) > static_cast<int64_t>(B()));
-      break;
-    case Opcode::CmpGeS:
-      SetDst(static_cast<int64_t>(A()) >= static_cast<int64_t>(B()));
-      break;
-    case Opcode::CmpLtU: SetDst(A() < B()); break;
-    case Opcode::CmpLeU: SetDst(A() <= B()); break;
-    case Opcode::CmpGtU: SetDst(A() > B()); break;
-    case Opcode::CmpGeU: SetDst(A() >= B()); break;
-    case Opcode::FCmpEq:
-      SetDst(bitsToDouble(A()) == bitsToDouble(B()));
-      break;
-    case Opcode::FCmpNe:
-      SetDst(bitsToDouble(A()) != bitsToDouble(B()));
-      break;
-    case Opcode::FCmpLt:
-      SetDst(bitsToDouble(A()) < bitsToDouble(B()));
-      break;
-    case Opcode::FCmpLe:
-      SetDst(bitsToDouble(A()) <= bitsToDouble(B()));
-      break;
-    case Opcode::FCmpGt:
-      SetDst(bitsToDouble(A()) > bitsToDouble(B()));
-      break;
-    case Opcode::FCmpGe:
-      SetDst(bitsToDouble(A()) >= bitsToDouble(B()));
-      break;
-    case Opcode::SExt: {
-      unsigned Bits = I.Size * 8;
-      uint64_t V = A();
-      if (Bits < 64) {
-        uint64_t Mask = (uint64_t(1) << Bits) - 1;
-        V &= Mask;
-        if (V >> (Bits - 1))
-          V |= ~Mask;
-      }
-      SetDst(V);
-      break;
-    }
-    case Opcode::ZExt: {
-      unsigned Bits = I.Size * 8;
-      uint64_t V = A();
-      if (Bits < 64)
-        V &= (uint64_t(1) << Bits) - 1;
-      SetDst(V);
-      break;
-    }
-    case Opcode::SIToFP:
-      SetDst(doubleToBits(static_cast<double>(static_cast<int64_t>(A()))));
-      break;
-    case Opcode::FPToSI:
-      SetDst(static_cast<uint64_t>(
-          static_cast<int64_t>(bitsToDouble(A()))));
-      break;
-    case Opcode::Load:
-    case Opcode::LoadIdx: {
-      uint64_t Addr = A() + (I.Op == Opcode::LoadIdx ? B() : 0);
-      if (!checkMemoryAccess(Addr, "load"))
-        break;
-      uint64_t Raw = 0;
-      std::memcpy(&Raw, reinterpret_cast<const void *>(Addr), I.Size);
-      if (I.Size < 8) {
-        unsigned Bits = I.Size * 8;
-        uint64_t Mask = (uint64_t(1) << Bits) - 1;
-        Raw &= Mask;
-        if (I.SignedLoad && (Raw >> (Bits - 1)))
-          Raw |= ~Mask;
-      }
-      SetDst(Raw);
-      break;
-    }
-    case Opcode::Store:
-    case Opcode::StoreIdx: {
-      uint64_t Addr, Val;
-      if (I.Op == Opcode::StoreIdx) {
-        Addr = A() + B();
-        Val = evalValue(Fr, I.C);
-      } else {
-        Addr = A();
-        Val = B();
-      }
-      if (!checkMemoryAccess(Addr, "store"))
-        break;
-      std::memcpy(reinterpret_cast<void *>(Addr), &Val, I.Size);
-      break;
-    }
-    case Opcode::AddrLocal:
-      SetDst(reinterpret_cast<uint64_t>(Stack.data()) + Fr.FrameBase +
-             static_cast<uint64_t>(I.Aux));
-      break;
-    case Opcode::AddrGlobal:
-      SetDst(reinterpret_cast<uint64_t>(Globals.data()) +
-             static_cast<uint64_t>(I.Aux));
-      break;
-    case Opcode::Jmp:
-      enterBlock(Fr, I.Blk1);
-      break;
-    case Opcode::Br:
-      enterBlock(Fr, A() ? I.Blk1 : I.Blk2);
-      break;
-    case Opcode::Ret: {
-      uint64_t RetVal = evalValue(Fr, I.A);
-      uint32_t RetDst = Fr.RetDst;
-      StackTop = Fr.FrameBase;
-      Frames.pop_back();
-      if (Frames.empty()) {
-        if (InGlobalInit && !MainStarted) {
-          InGlobalInit = false;
-          MainStarted = true;
-          StackTop = 0;
-          pushFrame(M.Functions[M.MainIndex], {}, NoReg);
-        } else {
-          Result.ExitCode = static_cast<long>(RetVal);
-        }
-      } else if (RetDst != NoReg) {
-        Frames.back().Regs[RetDst] = RetVal;
-      }
-      break;
-    }
-    case Opcode::Call: {
-      if (Opts.GcCallPeriod && ++CallsExecuted % Opts.GcCallPeriod == 0)
-        C->collect(); // call-site-only collection (optimization 4 regime)
-      if (I.BuiltinCallee != Builtin::None) {
-        runBuiltin(Fr, I);
-        break;
-      }
-      int32_t Callee = I.Callee;
-      if (Callee < 0) {
-        int64_t FP = static_cast<int64_t>(A());
-        Callee = static_cast<int32_t>(FP - FuncPtrBase);
-        if (Callee < 0 ||
-            static_cast<size_t>(Callee) >= M.Functions.size()) {
-          fail("indirect call through a non-function value");
-          break;
-        }
-      }
-      std::vector<uint64_t> Args;
-      Args.reserve(I.Args.size());
-      for (const Value &V : I.Args)
-        Args.push_back(evalValue(Fr, V));
-      pushFrame(M.Functions[Callee], Args, I.Dst);
-      break;
-    }
-    case Opcode::KeepLive:
-      SetDst(A());
-      break;
-    case Opcode::CheckSameObj: {
-      size_t Before = Check->violationCount();
-      Check->sameObj(reinterpret_cast<const void *>(A()),
-                     reinterpret_cast<const void *>(B()), Fr.F->Name.c_str());
-      SetDst(A());
-      if (Opts.HaltOnCheckViolation && Check->violationCount() != Before)
-        fail("pointer-arithmetic check violation");
-      break;
-    }
-    case Opcode::Kill:
-      if (I.A.isReg())
-        Fr.Regs[I.A.Reg] = 0;
-      break;
-    }
-
-    // Cycle sampling: the period elapsed sometime during this instruction
-    // (it may charge several cycle sources at once — spill penalties,
-    // builtin costs); attribute the whole gap to it. Fr may dangle after a
-    // Call/Ret, so the captured ExecF carries the leaf.
-    if (SampleEvery && Result.Cycles - LastSampleCycles >= SampleEvery)
-      recordCycleSample(ExecF, I);
-
-    if (Opts.GcInstructionPeriod &&
-        Result.InstructionsExecuted % Opts.GcInstructionPeriod == 0)
-      C->collect();
-  }
+  int32_t First = M.GlobalInitIndex >= 0 ? M.GlobalInitIndex : M.MainIndex;
+  if (pushFrame(decoded(static_cast<uint32_t>(First)), nullptr, nullptr))
+    execute();
 
   Result.Collections = C->stats().Collections;
   Result.ChecksPerformed = Check->checkCount();

@@ -24,6 +24,11 @@
 /// against the collector's page table, recording violations like the
 /// paper's GC_same_obj.
 ///
+/// Each function is decoded once, on its first call, into a flat array of
+/// instructions with resolved operands and precomputed cycle costs; the
+/// interpreter loop over it keeps every check other than counting,
+/// charging and executing behind a single compare (see VM.cpp).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCSAFE_VM_VM_H
@@ -60,6 +65,8 @@ struct VMOptions {
   bool AllInteriorPointers = true;
 
   uint64_t MaxInstructions = 2000000000;
+  /// VM stack bytes for frame slots. Also bounds call depth at one frame
+  /// per 16 bytes, so recursion without locals still overflows.
   size_t StackSize = 1 << 20;
   size_t MaxOutputBytes = 4 << 20;
 
@@ -171,25 +178,28 @@ public:
   gc::Collector &collector() { return *C; }
 
 private:
+  struct DecodedFunction;
+  struct DecodedInst;
   struct Frame {
-    const ir::Function *F = nullptr;
-    std::vector<uint64_t> Regs;
-    uint64_t FrameBase = 0;
-    uint32_t Block = 0;
-    uint32_t IP = 0;
-    uint32_t RetDst = ir::NoReg; ///< Caller register for the return value.
+    const DecodedFunction *F = nullptr;
+    uint64_t RegBase = 0;   ///< Start of the frame's window in RegStack.
+    uint64_t FrameBase = 0; ///< Offset of the frame's slots in Stack.
+    const DecodedInst *RetPC = nullptr; ///< Caller's next instruction.
+    int32_t RetDst = 0; ///< Caller register (or sink) for the return value.
   };
 
-  uint64_t evalValue(const Frame &Fr, const ir::Value &V) const;
-  void pushFrame(const ir::Function &F, const std::vector<uint64_t> &Args,
-                 uint32_t RetDst);
-  void enterBlock(Frame &Fr, uint32_t Block);
-  unsigned instructionCycles(const ir::Instruction &I) const;
-  const std::vector<unsigned> &pressurePenalties(const ir::Function &F);
-  void runBuiltin(Frame &Fr, const ir::Instruction &I);
-  void tagAllocSite(const Frame &Fr, const ir::Instruction &I,
+  const DecodedFunction &decoded(uint32_t Index);
+  void decode(uint32_t Index);
+  uint64_t *pushFrame(const DecodedFunction &F, const DecodedInst *Call,
+                      const DecodedInst *RetPC);
+  void execute();
+  bool handleEvents(const DecodedInst *Executed, const DecodedInst *Next);
+  void chargeUnexecuted(const DecodedInst &I);
+  void runBuiltin(const DecodedFunction &F, const DecodedInst &I,
+                  uint64_t *Regs);
+  void tagAllocSite(const DecodedFunction &F, const DecodedInst &I,
                     const char *Kind);
-  void recordCycleSample(const ir::Function *Leaf, const ir::Instruction &I);
+  void recordCycleSample(const DecodedInst &I);
   bool checkMemoryAccess(uint64_t Addr, const char *What);
   void fail(const std::string &Message);
 
@@ -201,22 +211,29 @@ private:
   std::vector<char> Globals;
   std::vector<char> Stack;
   uint64_t StackTop = 0;
+  /// Every frame's register window, contiguous: [zero slot, sink slot,
+  /// registers...]. Only the registers are GC roots.
+  std::vector<uint64_t> RegStack;
+  uint64_t RegTop = 0;
   std::vector<Frame> Frames;
+  /// Decoded form of each ir::Function, by function index, made on the
+  /// function's first call.
+  std::vector<std::unique_ptr<DecodedFunction>> Decoded;
 
   RunResult Result;
   bool Halted = false;
+  /// Instruction count at which execute() leaves its fast path to run the
+  /// budget, output, watchdog, collection and sampling checks (0 = at the
+  /// next instruction boundary).
+  uint64_t EventAt = 0;
+  uint64_t NextGcAt = 0;
+  uint64_t CallsUntilGc = 0;
+  uint64_t RunStartNs = 0;
   uint64_t Prng = 0x9E3779B97F4A7C15ull;
-  uint64_t CallsExecuted = 0;
 
-  std::unordered_map<const ir::Function *, std::vector<unsigned>>
-      PressureCache;
-
-  // Profiling state (unused when Opts.Profile is null). Site ids are
-  // cached per allocation instruction; flat instruction indices come from
-  // per-function block-offset prefix sums, cached like PressureCache.
-  std::unordered_map<const ir::Instruction *, size_t> SiteCache;
-  std::unordered_map<const ir::Function *, std::vector<uint32_t>>
-      BlockOffsetCache;
+  // Profiling state (unused when Opts.Profile is null): interned site ids
+  // per allocation instruction, and the cycle count at the last sample.
+  std::unordered_map<const DecodedInst *, size_t> SiteCache;
   uint64_t LastSampleCycles = 0;
 };
 

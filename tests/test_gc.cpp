@@ -54,6 +54,35 @@ TEST(PageTable, MissesReturnNull) {
   EXPECT_EQ(T.lookup(nullptr), nullptr);
 }
 
+TEST(PageTable, CachedMissSeesLaterInsert) {
+  // The one-entry chunk cache remembers misses too; inserting a page into
+  // that chunk must not leave the miss cached.
+  PageTable T;
+  alignas(4096) static char Page[PageSize];
+  EXPECT_EQ(T.lookup(Page), nullptr);
+  PageDescriptor D;
+  D.PageStart = Page;
+  ASSERT_TRUE(T.insert(Page, &D));
+  EXPECT_EQ(T.lookup(Page + 8), &D);
+  int Local; // another chunk, then back
+  EXPECT_EQ(T.lookup(&Local), nullptr);
+  EXPECT_EQ(T.lookup(Page), &D);
+}
+
+TEST(PageTable, SlotIndexReciprocalIsExact) {
+  // slotIndex() replaces Off / ObjSize by a multiply and a shift; check it
+  // for every size class and every in-page offset.
+  for (size_t ObjSize = GranuleSize; ObjSize <= MaxSmallSize;
+       ObjSize += GranuleSize) {
+    PageDescriptor D;
+    D.ObjSize = static_cast<uint16_t>(ObjSize);
+    D.SlotRecip = PageDescriptor::slotReciprocal(ObjSize);
+    for (uintptr_t Off = 0; Off < PageSize; ++Off)
+      ASSERT_EQ(D.slotIndex(Off), Off / ObjSize)
+          << "size " << ObjSize << " offset " << Off;
+  }
+}
+
 TEST(PageTable, ManyPagesAcrossChunks) {
   // Drive the collector to create many pages and verify every object's
   // page resolves through the two-level structure.

@@ -351,16 +351,25 @@ TEST(Observability, EventLimitBoundsRecords) {
   CO.Mode = driver::CompileMode::O2Safe;
   driver::CompileResult CR = C.compile(CO);
   ASSERT_TRUE(CR.Ok);
-  vm::VMOptions VO;
-  VO.GcAllocTrigger = 5;
-  VO.GcEventLimit = 2;
-  vm::VM Machine(CR.Module, VO);
-  vm::RunResult Run = Machine.run();
-  ASSERT_TRUE(Run.Ok);
-  EXPECT_GT(Run.Collections, 2u);
-  // Only the most recent records are kept; cumulatives still cover all.
-  ASSERT_EQ(Run.Gc.Events.size(), 2u);
-  EXPECT_EQ(Run.Gc.Events.back().Index, Run.Collections - 1);
+  // 2 and 3 wrap the ring at different points of the run.
+  for (size_t Limit : {size_t(2), size_t(3)}) {
+    vm::VMOptions VO;
+    VO.GcAllocTrigger = 5;
+    VO.GcEventLimit = Limit;
+    vm::VM Machine(CR.Module, VO);
+    vm::RunResult Run = Machine.run();
+    ASSERT_TRUE(Run.Ok);
+    EXPECT_GT(Run.Collections, Limit + 1);
+    // Only the most recent records are kept, oldest first and consecutive;
+    // cumulatives still cover all.
+    ASSERT_EQ(Run.Gc.Events.size(), Limit);
+    EXPECT_EQ(Run.Gc.Events.back().Index, Run.Collections - 1);
+    uint64_t Expect = Run.Collections - Limit;
+    for (const gc::CollectionEvent &E : Run.Gc.Events)
+      EXPECT_EQ(E.Index, Expect++) << "limit " << Limit;
+    for (size_t I = 0; I < Limit; ++I)
+      EXPECT_EQ(Run.Gc.Events[I].Index, Run.Collections - Limit + I);
+  }
 }
 
 TEST(Observability, CycleAttributionSumsToTotal) {

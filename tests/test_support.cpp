@@ -50,6 +50,26 @@ TEST(Arena, CreateConstructsObjects) {
   EXPECT_EQ(P->Y, 4);
 }
 
+TEST(Arena, DestroysWhatItCreatedNewestFirst) {
+  std::vector<int> Order;
+  struct Tracked {
+    std::vector<int> *Log;
+    int Id;
+    std::vector<int> Payload; // a heap buffer the arena must release
+    Tracked(std::vector<int> *Log, int Id)
+        : Log(Log), Id(Id), Payload(100, Id) {}
+    ~Tracked() { Log->push_back(Id); }
+  };
+  {
+    Arena A;
+    for (int I = 0; I < 3; ++I)
+      A.create<Tracked>(&Order, I);
+    A.create<int>(7); // trivially destructible: nothing recorded
+    EXPECT_TRUE(Order.empty());
+  }
+  EXPECT_EQ(Order, (std::vector<int>{2, 1, 0}));
+}
+
 TEST(Arena, ManySmallAllocationsSurvive) {
   Arena A;
   std::vector<int *> Ptrs;
