@@ -26,12 +26,16 @@
 #include "workloads/Workloads.h"
 
 #include "support/FaultInject.h"
+#include "support/Interleave.h"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -94,6 +98,34 @@ std::pair<uint64_t, uint64_t> floodOnce(unsigned Variants,
   return {Completed, support::monotonicNowNs() - T0};
 }
 
+/// Holds the service's worker at its first dequeue until released.
+struct WorkerHold {
+  std::atomic<bool> Held{false}, Release{false};
+  std::atomic<unsigned> Pops{0};
+
+  /// Waits (at most 20 s, so a regression fails rather than hangs) for
+  /// the worker to reach the hold.
+  bool awaitHeld() const {
+    uint64_t Start = support::monotonicNowNs();
+    while (!Held.load(std::memory_order_acquire) &&
+           support::monotonicNowNs() - Start < 20ull * 1000000000ull)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return Held.load(std::memory_order_acquire);
+  }
+};
+
+void holdFirstDequeue(const char *Point, void *Ctx) {
+  auto *H = static_cast<WorkerHold *>(Ctx);
+  if (std::strcmp(Point, "serve.queue.pop") ||
+      H->Pops.fetch_add(1, std::memory_order_acq_rel))
+    return;
+  H->Held.store(true, std::memory_order_release);
+  uint64_t Start = support::monotonicNowNs();
+  while (!H->Release.load(std::memory_order_acquire) &&
+         support::monotonicNowNs() - Start < 20ull * 1000000000ull)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+}
+
 /// The overload scenario (docs/ROBUSTNESS.md §8), two gated rows:
 ///
 /// overload_shed — a single-worker service with QueueMax=1 is flooded
@@ -114,10 +146,15 @@ bool writeOverloadRows(bench::BenchReport &Report) {
   SO.QueueMax = 1;
   serve::CompileService Svc(SO);
   const Workload *W = benchmarkSuite().front();
-  // Occupy the worker (a cold compile runs for milliseconds; the shed
-  // submits below take microseconds) and fill the one queue slot.
+  // Occupy the worker: it is held just after it dequeues the first
+  // request until the flood is over, so however the threads are
+  // scheduled, the second request fills the one queue slot and every
+  // flood request finds the queue full.
+  WorkerHold Hold;
+  support::ScheduleFuzzer::setPointHook(&holdFirstDequeue, &Hold);
   std::vector<std::future<serve::ServeResult>> Running;
   Running.push_back(Svc.submit(requestFor(W)));
+  bool Held = Hold.awaitHeld();
   {
     driver::RequestOptions R = requestFor(W);
     R.GcAllocTrigger = 2;
@@ -138,9 +175,11 @@ bool writeOverloadRows(bench::BenchReport &Report) {
       ShedTyped = ShedTyped && !S.Ok && S.ExitCode == 7;
     }
   }
+  Hold.Release.store(true, std::memory_order_release);
   for (std::future<serve::ServeResult> &F : Running)
     F.get();
-  bool ShedsAll = Sheds == ShedAttempts;
+  support::ScheduleFuzzer::setPointHook(nullptr, nullptr);
+  bool ShedsAll = Held && Sheds == ShedAttempts;
   bool ShedsBounded = ShedMaxNs < 250ull * 1000000ull;
   Report.row("overload_shed");
   Report.metric("flood_requests", uint64_t(ShedAttempts) + 2);

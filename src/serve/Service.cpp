@@ -104,6 +104,12 @@ namespace {
 /// export gets one track per worker.
 thread_local uint32_t CurrentWorker = 0;
 
+/// Election ticket and identity of the pooled request about to run on
+/// this thread (ticket 0 = none: compile() callers are not ordered
+/// against the pool).
+thread_local uint64_t CurrentTicket = 0;
+thread_local size_t CurrentIdentity = 0;
+
 /// A request id reduced to filename-safe characters for the flight-dump
 /// path (the client controls the id; it must not traverse directories).
 std::string fsSafeId(const std::string &Rid) {
@@ -250,10 +256,14 @@ void CompileService::workerLoop() {
           return;
         continue;
       }
-      Task = std::move(Queue.front());
+      Task = std::move(Queue.front().Task);
+      CurrentIdentity = Queue.front().Identity;
       Queue.pop_front();
       QueueDepth.store(Queue.size(), std::memory_order_release);
       ++Active;
+      CurrentTicket = ++Dequeued;
+      support::RankedGuard Turn(InFlightMu);
+      Turns.emplace(CurrentIdentity, CurrentTicket);
     }
     GCSAFE_INTERLEAVE_POINT("serve.queue.pop");
     Task();
@@ -275,6 +285,9 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
   std::string Name = Request.Name;
   std::string TraceId = assignRequestId(Request);
   std::string Rid = Request.RequestId;
+  std::hash<std::string> Hash;
+  size_t Identity =
+      Hash(Request.Source) * 31 + Hash(canonicalFlagString(Request));
 
   std::packaged_task<ServeResult()> Task(
       [this, Request = std::move(Request), UseCache, DeadlineAtNs, SubmitNs,
@@ -301,7 +314,7 @@ CompileService::submit(driver::RequestOptions Request, bool UseCache) {
       Why = "the submit queue is full (" + std::to_string(Opts.QueueMax) +
             " requests deep)";
     } else {
-      Queue.push_back(std::move(Task));
+      Queue.push_back({std::move(Task), Identity});
       size_t Depth = Queue.size();
       // The gauges shadow Queue under QueueMu; peak's read-modify-write
       // is safe because every writer holds the lock — the atomics exist
@@ -338,6 +351,21 @@ std::string CompileService::assignRequestId(driver::RequestOptions &Request) {
   return Request.RequestId + "#" + std::to_string(Seq);
 }
 
+void CompileService::passTurnLocked(size_t Identity, uint64_t Ticket) {
+  auto Range = Turns.equal_range(Identity);
+  for (auto It = Range.first; It != Range.second; ++It)
+    if (It->second == Ticket) {
+      Turns.erase(It);
+      break;
+    }
+  TurnCv.notifyAll();
+}
+
+void CompileService::passTurn(size_t Identity, uint64_t Ticket) {
+  support::RankedGuard Lock(InFlightMu);
+  passTurnLocked(Identity, Ticket);
+}
+
 void CompileService::traceEmit(const char *Name, uint64_t Value,
                                uint64_t Aux, std::string Detail) {
   support::RankedGuard Lock(TraceMu);
@@ -367,6 +395,19 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                                       uint64_t SubmitNs,
                                       const std::string &TraceId) {
   const uint32_t Worker = CurrentWorker;
+  // Given up at the election below, or on any earlier return.
+  struct TurnGuard {
+    CompileService *S;
+    size_t Identity;
+    uint64_t Ticket;
+    void pass() {
+      if (Ticket)
+        S->passTurn(Identity, Ticket);
+      Ticket = 0;
+    }
+    ~TurnGuard() { pass(); }
+  } Turn{this, CurrentIdentity, CurrentTicket};
+  CurrentTicket = 0;
   uint64_t BeginNs = support::monotonicNowNs();
   Requests.fetch_add(1, std::memory_order_relaxed);
   traceEmit("request.begin", 0, 0, TraceId + " " + Request.Name);
@@ -508,6 +549,21 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         }
       }
       support::RankedLock L(InFlightMu);
+      if (Turn.Ticket) {
+        // A miss takes its side only after every identical request
+        // dequeued before it has taken its own, so the first one
+        // submitted is the one that leads. An earlier one may publish
+        // while we wait, so look again before electing.
+        auto MyTurn = [this, &Turn]() GCSAFE_REQUIRES(InFlightMu) {
+          return Turns.lower_bound(Turn.Identity)->second == Turn.Ticket;
+        };
+        if (!MyTurn()) {
+          TurnCv.wait(L, MyTurn);
+          continue;
+        }
+        passTurnLocked(Turn.Identity, Turn.Ticket);
+        Turn.Ticket = 0;
+      }
       if (!InFlight.count(Result.CacheKey)) {
         InFlight.insert(Result.CacheKey);
         Leader.S = this;
@@ -550,6 +606,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     traceEmit("cache.miss", 0, 0, TraceId + " " + Result.CacheKey);
     Flight.record("serve", "cache.miss", TraceId, 0, Worker);
   }
+  Turn.pass(); // uncached requests take no side
 
   if (Opts.Isolate) {
     std::string Key = Result.CacheKey;

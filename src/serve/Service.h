@@ -45,6 +45,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -294,12 +295,35 @@ private:
   support::CondVar InFlightCv;
   std::set<std::string> InFlight GCSAFE_GUARDED_BY(InFlightMu);
 
+  /// Election order among identical requests (same source and flags).
+  /// Each pooled request takes a ticket at dequeue, so in submission
+  /// order, and gives it up once it has hit the cache or taken its
+  /// single-flight side; a miss may not take a side while an identical
+  /// request holds a lower ticket. Without this, two identical requests
+  /// dequeued together race their parses to the election and the later
+  /// one can lead, so the earlier replays it as "cached". The wait is
+  /// bounded: every lower ticket is already running and gives its ticket
+  /// up before it blocks on anything. A hash collision only orders two
+  /// unrelated requests.
+  support::CondVar TurnCv;
+  /// Tickets not yet given up, keyed by request identity; equal keys
+  /// keep insertion (= ticket) order.
+  std::multimap<size_t, uint64_t> Turns GCSAFE_GUARDED_BY(InFlightMu);
+  void passTurnLocked(size_t Identity, uint64_t Ticket)
+      GCSAFE_REQUIRES(InFlightMu);
+  void passTurn(size_t Identity, uint64_t Ticket) GCSAFE_EXCLUDES(InFlightMu);
+
   mutable support::RankedMutex QueueMu{support::LockRank::ServeQueue,
                                        "serve.queue"};
   support::CondVar QueueCv;
   support::CondVar IdleCv;
-  std::deque<std::packaged_task<ServeResult()>> Queue GCSAFE_GUARDED_BY(QueueMu);
+  struct QueuedTask {
+    std::packaged_task<ServeResult()> Task;
+    size_t Identity; ///< Election-order key (see Turns).
+  };
+  std::deque<QueuedTask> Queue GCSAFE_GUARDED_BY(QueueMu);
   size_t Active GCSAFE_GUARDED_BY(QueueMu) = 0; ///< Mid-execute requests.
+  uint64_t Dequeued GCSAFE_GUARDED_BY(QueueMu) = 0; ///< Last ticket issued.
   /// Sampled gauges mirroring Queue under QueueMu, readable lock-free by
   /// statsSnapshot()/metricsSnapshot()/health() — the snapshot paths
   /// never contend with admission (memory orders: store-release under

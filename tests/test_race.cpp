@@ -520,6 +520,34 @@ TEST(SingleFlightRace, LeaderKilledBetweenElectionAndPublishReelects) {
   EXPECT_EQ(S.get("serve.requests"), 4u);
 }
 
+void delayFirstDequeueHook(const char *Point, void *Ctx) {
+  auto *Pops = static_cast<std::atomic<int> *>(Ctx);
+  if (!std::strcmp(Point, "serve.queue.pop") &&
+      Pops->fetch_add(1, std::memory_order_acq_rel) == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+}
+
+/// Two identical requests dequeued together: the first one submitted
+/// leads even when the second reaches the cache first (its worker is
+/// 30 ms ahead), so "cold then warm" follows submission order.
+TEST(SingleFlightRace, FirstSubmittedLeadsWhenOvertaken) {
+  ServiceOptions SO;
+  SO.Workers = 2;
+  std::atomic<int> Pops{0};
+  HookScope Hook(&delayFirstDequeueHook, &Pops);
+
+  CompileService Svc(SO);
+  std::future<ServeResult> First = Svc.submit(tinyRequest());
+  std::future<ServeResult> Second = Svc.submit(tinyRequest());
+  ServeResult A = First.get(), B = Second.get();
+  ASSERT_TRUE(A.Ok);
+  ASSERT_TRUE(B.Ok);
+  EXPECT_FALSE(A.Cached);
+  EXPECT_TRUE(B.Cached);
+  EXPECT_EQ(A.CacheKey, B.CacheKey);
+  EXPECT_EQ(Svc.statsSnapshot().get("serve.cache.insertions"), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // The seed sweep: 64 forced preemption schedules over the full service
 //===----------------------------------------------------------------------===//
