@@ -33,6 +33,15 @@
 /// extends its bases' live ranges) and one carried through copies matters
 /// to the verifier's diagnostics; inKillContract() exposes it.
 ///
+/// Representation. Only two small register sets can appear in a fact:
+/// *carriers* (KeepLive destinations with a register base, plus their
+/// transitive Mov copies) and *bases* (KeepLive base operands). Both are
+/// numbered densely in ascending register order, and the facts at a point
+/// are a carriers x bases bit matrix (row c = the bases carrier c is
+/// pinned to; an empty row is ⊥). Liveness is a bit vector per block.
+/// Every buffer is sized once per function; a function without KeepLives
+/// has no carriers and skips the forward analysis.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GCSAFE_ANALYSIS_BASELIVENESS_H
@@ -42,36 +51,80 @@
 #include "opt/CFG.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 namespace gcsafe {
 namespace analysis {
 
-/// Derived register -> the base registers it is pinned to.
-using BaseFacts = std::map<uint32_t, std::set<uint32_t>>;
+class BaseLiveness;
+
+/// Derived-pointer facts at one program point: the carriers x bases bit
+/// matrix of the BaseLiveness that filled it.
+class BaseFacts {
+public:
+  /// True when no register carries a fact.
+  bool empty() const;
+  /// True when register \p Derived is pinned to base register \p Base.
+  bool pinned(uint32_t Derived, uint32_t Base) const;
+  /// The bases \p Derived is pinned to, ascending (empty = not derived).
+  std::vector<uint32_t> bases(uint32_t Derived) const;
+
+private:
+  friend class BaseLiveness;
+  uint64_t *row(uint32_t Carrier) {
+    return Bits.data() + Carrier * RowWords;
+  }
+  const uint64_t *row(uint32_t Carrier) const {
+    return Bits.data() + Carrier * RowWords;
+  }
+
+  const BaseLiveness *Owner = nullptr;
+  uint32_t RowWords = 0;
+  std::vector<uint64_t> Bits;
+};
+
+/// The plain live-after sets of one block's instructions, in one flat
+/// buffer that is reused from block to block.
+class LiveAfterSets {
+public:
+  /// True when \p Reg is plain-live just after instruction \p Index.
+  bool test(uint32_t Index, uint32_t Reg) const {
+    return (Bits[Index * Words + Reg / 64] >> (Reg % 64)) & 1;
+  }
+  /// Number of instructions of the block.
+  size_t size() const { return Count; }
+
+private:
+  friend class BaseLiveness;
+  std::vector<uint64_t> Bits;
+  uint32_t Words = 0;
+  size_t Count = 0;
+};
 
 class BaseLiveness {
 public:
   BaseLiveness(const ir::Function &F, const opt::CFGInfo &CFG);
 
-  /// Plain (unextended) liveness at block boundaries.
-  const opt::RegSet &liveIn(uint32_t B) const { return LiveIn[B]; }
-  const opt::RegSet &liveOut(uint32_t B) const { return LiveOut[B]; }
+  /// Plain (unextended) liveness of \p Reg at block boundaries.
+  bool liveIn(uint32_t B, uint32_t Reg) const {
+    return testBit(LiveIn.data() + B * RegWords, Reg);
+  }
+  bool liveOut(uint32_t B, uint32_t Reg) const {
+    return testBit(LiveOut.data() + B * RegWords, Reg);
+  }
 
-  /// Derived-pointer facts at block entry.
-  const BaseFacts &factsIn(uint32_t B) const { return FactsIn[B]; }
+  /// Copies the derived-pointer facts at the entry of block \p B into
+  /// \p Out, reusing its storage.
+  void factsIn(uint32_t B, BaseFacts &Out) const;
 
   /// Steps \p Facts forward across one instruction (the transfer function
   /// above). Exposed so the verifier can walk a block instruction by
   /// instruction from factsIn().
-  static void transfer(const ir::Instruction &I, BaseFacts &Facts);
+  void transfer(const ir::Instruction &I, BaseFacts &Facts) const;
 
-  /// Fills \p LiveAfter with the plain live-after set of each instruction
-  /// in block \p B (LiveAfter[i] = live just after Insts[i]).
-  void liveAfterPerInstruction(uint32_t B,
-                               std::vector<opt::RegSet> &LiveAfter) const;
+  /// Fills \p Out with the plain live-after set of each instruction in
+  /// block \p B (set i = live just after Insts[i]).
+  void liveAfterPerInstruction(uint32_t B, LiveAfterSets &Out) const;
 
   /// True when register \p Derived is a KeepLive destination whose
   /// transitive base closure (the one opt::Liveness::expandUse honors when
@@ -79,17 +132,49 @@ public:
   /// are outside the kill-insertion contract.
   bool inKillContract(uint32_t Derived, uint32_t Base) const;
 
+  /// The registers that can carry a fact, ascending.
+  const std::vector<uint32_t> &carriers() const { return Carriers; }
+  /// True when \p Reg can be a base (it is some KeepLive's base operand).
+  bool isBase(uint32_t Reg) const {
+    return Reg < BaseOf.size() && BaseOf[Reg] != None;
+  }
+
   /// Number of distinct derived registers that ever carry a fact.
   unsigned derivedCount() const;
 
 private:
+  friend class BaseFacts;
+  static constexpr uint32_t None = ~0u;
+
+  static bool testBit(const uint64_t *Words, uint32_t I) {
+    return (Words[I / 64] >> (I % 64)) & 1;
+  }
+
+  void numberRegisters();
+  void computeLiveness();
+  void computeFacts();
+  void computeContract();
+
   const ir::Function &F;
   const opt::CFGInfo &CFG;
-  std::vector<opt::RegSet> LiveIn, LiveOut;
-  std::vector<BaseFacts> FactsIn;
-  /// Flow-insensitive KeepLive closure: ContractBases[d] = every register
-  /// expandUse reaches from d, minus d itself. Empty for non-KL dests.
-  std::vector<std::set<uint32_t>> ContractBases;
+
+  /// Plain liveness: one RegWords-word vector per block.
+  uint32_t RegWords = 0;
+  std::vector<uint64_t> LiveIn, LiveOut;
+
+  /// Register -> carrier / base index (None when it is neither), and the
+  /// inverse of the carrier numbering.
+  std::vector<uint32_t> CarrierOf, BaseOf, Carriers;
+  uint32_t NumBases = 0;
+  /// Words per carrier row, and words per matrix.
+  uint32_t RowWords = 0, MatrixWords = 0;
+
+  /// Facts at each block's entry: one matrix per block.
+  std::vector<uint64_t> FactsIn;
+  /// Flow-insensitive KeepLive closure, one row per carrier: every base
+  /// expandUse reaches from the carrier, minus the carrier itself. Empty
+  /// for carriers that are not KeepLive destinations.
+  std::vector<uint64_t> Contract;
 };
 
 } // namespace analysis

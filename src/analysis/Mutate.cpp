@@ -72,7 +72,7 @@ gcsafe::analysis::enumerateFunctionMutations(const Function &F,
     const uint32_t FI = FnIndex;
     CFGInfo CFG(F);
     BaseLiveness BL(F, CFG);
-    std::vector<RegSet> LiveAfter;
+    LiveAfterSets LiveAfter;
 
     for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
       const BasicBlock &B = F.Blocks[BId];
@@ -91,7 +91,7 @@ gcsafe::analysis::enumerateFunctionMutations(const Function &F,
                                     Idx, I)});
           // Clobbering the base is observable only while the derived
           // register stays live past the KeepLive.
-          if (LiveAfter[Idx].test(I.Dst))
+          if (LiveAfter.test(Idx, I.Dst))
             Out.push_back({MutationKind::ClobberBase, FI, BId, Idx,
                            describe(MutationKind::ClobberBase, F, BId, Idx,
                                     I)});

@@ -44,26 +44,37 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
                  std::vector<SafetyDiag> &Out) {
   CFGInfo CFG(F);
   BaseLiveness BL(F, CFG);
+  const std::vector<uint32_t> &Carriers = BL.carriers();
 
-  std::vector<RegSet> LiveAfter;
+  LiveAfterSets LiveAfter;
+  BaseFacts Facts;
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     const BasicBlock &B = F.Blocks[BId];
     if (B.Insts.empty())
       continue;
     BL.liveAfterPerInstruction(BId, LiveAfter);
-    BaseFacts Facts = BL.factsIn(BId);
+    BL.factsIn(BId, Facts);
 
     for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
       const Instruction &I = B.Insts[Idx];
+      // Derived pointers pinned to R that are live after this
+      // instruction, in ascending register order. Only a base can be
+      // pinned to, so the carriers are visited only when R is one.
+      auto ForEachPinnedLive = [&](uint32_t R, auto Fn) {
+        if (!BL.isBase(R))
+          return;
+        for (uint32_t D : Carriers)
+          if (D != R && LiveAfter.test(Idx, D) && Facts.pinned(D, R))
+            Fn(D);
+      };
 
       if (I.Op == Opcode::Kill) {
         if (I.A.isReg()) {
           uint32_t R = I.A.Reg;
           bool BaseDiag = false;
-          for (const auto &[D, Bases] : Facts) {
-            if (D == R || !LiveAfter[Idx].test(D) || !Bases.count(R) ||
-                !BL.inKillContract(D, R))
-              continue;
+          ForEachPinnedLive(R, [&](uint32_t D) {
+            if (!BL.inKillContract(D, R))
+              return;
             BaseDiag = true;
             std::ostringstream OS;
             OS << "kill of " << regName(R) << " while derived pointer "
@@ -71,8 +82,8 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
                << ") is still live";
             Out.push_back(makeDiag(F, BId, Idx, I.Loc, Options.Pass,
                                    "base_killed", D, R, OS.str()));
-          }
-          if (!BaseDiag && LiveAfter[Idx].test(R)) {
+          });
+          if (!BaseDiag && LiveAfter.test(Idx, R)) {
             std::ostringstream OS;
             OS << "kill of " << regName(R)
                << " while its value is still used later";
@@ -81,7 +92,7 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
                                    OS.str()));
           }
         }
-      } else if (I.Dst != NoReg) {
+      } else if (I.Dst != NoReg && BL.isBase(I.Dst)) {
         uint32_t R = I.Dst;
         // Pointer rebase: a redefinition whose own operands carry the old
         // value of R (p = p + 1, or the writeback of the specialized
@@ -89,27 +100,20 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
         // value; the paper's ++/-- expansion relies on this.
         bool Rebase = false;
         forEachUse(I, [&](uint32_t X) {
-          if (X == R)
-            Rebase = true;
-          auto It = Facts.find(X);
-          if (It != Facts.end() && It->second.count(R))
-            Rebase = true;
+          Rebase = Rebase || X == R || Facts.pinned(X, R);
         });
-        if (!Rebase) {
-          for (const auto &[D, Bases] : Facts) {
-            if (D == R || !LiveAfter[Idx].test(D) || !Bases.count(R))
-              continue;
+        if (!Rebase)
+          ForEachPinnedLive(R, [&](uint32_t D) {
             std::ostringstream OS;
             OS << "definition clobbers " << regName(R)
                << " while derived pointer " << regName(D)
                << " (KEEP_LIVE base " << regName(R) << ") is still live";
             Out.push_back(makeDiag(F, BId, Idx, I.Loc, Options.Pass,
                                    "base_clobbered", D, R, OS.str()));
-          }
-        }
+          });
       }
 
-      BaseLiveness::transfer(I, Facts);
+      BL.transfer(I, Facts);
     }
   }
 }
@@ -118,28 +122,34 @@ void checkPoints(const Function &F, const SafetyVerifyOptions &Options,
 // Layer 2: kill-placement audit
 //===----------------------------------------------------------------------===//
 
-/// Kill placement of one block, keyed by the index of the preceding
-/// non-kill instruction in the kill-free sequence (~0u for kills ahead of
-/// the first instruction — entry parameter kills).
-using KillSlots = std::map<uint32_t, std::vector<uint32_t>>;
+/// One Kill of a block, keyed by the index of the preceding non-kill
+/// instruction in the kill-free sequence (~0u for kills ahead of the first
+/// instruction — entry parameter kills — which therefore sort last).
+struct SlotKill {
+  uint32_t Slot, Reg;
+  bool operator<(const SlotKill &O) const {
+    return Slot != O.Slot ? Slot < O.Slot : Reg < O.Reg;
+  }
+};
 
-void collectKillSlots(const BasicBlock &B, KillSlots &Slots,
+/// The kills of \p B sorted by (slot, register), and the indices of its
+/// non-kill instructions.
+void collectKillSlots(const BasicBlock &B, std::vector<SlotKill> &Kills,
                       std::vector<uint32_t> &NonKillIndices) {
-  Slots.clear();
+  Kills.clear();
   NonKillIndices.clear();
   uint32_t Slot = ~0u;
   for (uint32_t Idx = 0; Idx < B.Insts.size(); ++Idx) {
     const Instruction &I = B.Insts[Idx];
     if (I.Op == Opcode::Kill) {
       if (I.A.isReg())
-        Slots[Slot].push_back(I.A.Reg);
+        Kills.push_back({Slot, I.A.Reg});
     } else {
       Slot = static_cast<uint32_t>(NonKillIndices.size());
       NonKillIndices.push_back(Idx);
     }
   }
-  for (auto &[S, Regs] : Slots)
-    std::sort(Regs.begin(), Regs.end());
+  std::sort(Kills.begin(), Kills.end());
 }
 
 void checkKillPlacement(const Function &F, const SafetyVerifyOptions &Options,
@@ -156,7 +166,7 @@ void checkKillPlacement(const Function &F, const SafetyVerifyOptions &Options,
   PassStats Dummy;
   insertKills(Canonical, Dummy);
 
-  KillSlots Actual, Expected;
+  std::vector<SlotKill> Actual, Expected;
   std::vector<uint32_t> ActualIdx, ExpectedIdx;
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     collectKillSlots(F.Blocks[BId], Actual, ActualIdx);
@@ -176,40 +186,45 @@ void checkKillPlacement(const Function &F, const SafetyVerifyOptions &Options,
     auto SlotLoc = [&](uint32_t Slot) -> uint32_t {
       return Slot == ~0u ? ~0u : F.Blocks[BId].Insts[ActualIdx[Slot]].Loc;
     };
+    auto Contains = [](const SlotKill *Begin, const SlotKill *End,
+                       uint32_t R) {
+      return std::any_of(Begin, End,
+                         [R](const SlotKill &K) { return K.Reg == R; });
+    };
 
-    std::set<uint32_t> AllSlots;
-    for (const auto &[S, Regs] : Actual)
-      AllSlots.insert(S);
-    for (const auto &[S, Regs] : Expected)
-      AllSlots.insert(S);
-    for (uint32_t S : AllSlots) {
-      static const std::vector<uint32_t> Empty;
-      auto AIt = Actual.find(S);
-      auto EIt = Expected.find(S);
-      const std::vector<uint32_t> &A = AIt == Actual.end() ? Empty
-                                                          : AIt->second;
-      const std::vector<uint32_t> &E = EIt == Expected.end() ? Empty
-                                                             : EIt->second;
-      for (uint32_t R : E)
-        if (!std::count(A.begin(), A.end(), R)) {
+    // Walk both sorted lists one slot at a time, in ascending slot order.
+    const SlotKill *A = Actual.data(), *AEnd = A + Actual.size();
+    const SlotKill *E = Expected.data(), *EEnd = E + Expected.size();
+    while (A != AEnd || E != EEnd) {
+      uint32_t S = E == EEnd || (A != AEnd && A->Slot < E->Slot) ? A->Slot
+                                                                 : E->Slot;
+      const SlotKill *ANext = A, *ENext = E;
+      while (ANext != AEnd && ANext->Slot == S)
+        ++ANext;
+      while (ENext != EEnd && ENext->Slot == S)
+        ++ENext;
+      for (const SlotKill *K = E; K != ENext; ++K)
+        if (!Contains(A, ANext, K->Reg)) {
           std::ostringstream OS;
-          OS << "missing kill of " << regName(R)
+          OS << "missing kill of " << regName(K->Reg)
              << " at its extended death point — the register outlives "
                 "its last KEEP_LIVE-extended use (false retention)";
           Out.push_back(makeDiag(F, BId, SlotIndex(S), SlotLoc(S),
-                                 Options.Pass, "kill_missing", NoReg, R,
+                                 Options.Pass, "kill_missing", NoReg, K->Reg,
                                  OS.str()));
         }
-      for (uint32_t R : A)
-        if (!std::count(E.begin(), E.end(), R)) {
+      for (const SlotKill *K = A; K != ANext; ++K)
+        if (!Contains(E, ENext, K->Reg)) {
           std::ostringstream OS;
-          OS << "kill of " << regName(R)
+          OS << "kill of " << regName(K->Reg)
              << " is not at the canonical death point computed from the "
                 "module's KEEP_LIVE structure";
           Out.push_back(makeDiag(F, BId, SlotIndex(S), SlotLoc(S),
-                                 Options.Pass, "kill_spurious", NoReg, R,
-                                 OS.str()));
+                                 Options.Pass, "kill_spurious", NoReg,
+                                 K->Reg, OS.str()));
         }
+      A = ANext;
+      E = ENext;
     }
   }
 }
@@ -239,29 +254,40 @@ bool gcsafe::analysis::verifyModuleSafety(const Module &M,
   return Ok;
 }
 
-void KeepLiveContinuity::record(const Function &F) {
-  std::set<uint32_t> Dsts;
+namespace {
+
+/// The KeepLive destinations of \p F, ascending and distinct.
+std::vector<uint32_t> keepLiveDsts(const Function &F) {
+  std::vector<uint32_t> Dsts;
   for (const BasicBlock &B : F.Blocks)
     for (const Instruction &I : B.Insts)
       if (I.Op == Opcode::KeepLive && I.Dst != NoReg)
-        Dsts.insert(I.Dst);
-  Snapshots[F.Name] = std::move(Dsts);
+        Dsts.push_back(I.Dst);
+  std::sort(Dsts.begin(), Dsts.end());
+  Dsts.erase(std::unique(Dsts.begin(), Dsts.end()), Dsts.end());
+  return Dsts;
+}
+
+} // namespace
+
+void KeepLiveContinuity::record(const Function &F) {
+  Snapshots[F.Name] = keepLiveDsts(F);
 }
 
 void KeepLiveContinuity::check(const Function &F, const char *Pass,
                                std::vector<SafetyDiag> &Out) {
-  std::set<uint32_t> Current;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Insts)
-      if (I.Op == Opcode::KeepLive && I.Dst != NoReg)
-        Current.insert(I.Dst);
+  std::vector<uint32_t> Current = keepLiveDsts(F);
 
   auto It = Snapshots.find(F.Name);
   if (It != Snapshots.end()) {
-    DefUseCounts DU = countDefsUses(F);
+    // Counted only once a recorded destination is found missing; most
+    // passes keep every KEEP_LIVE.
+    DefUseCounts DU;
     for (uint32_t Dst : It->second) {
-      if (Current.count(Dst))
+      if (std::binary_search(Current.begin(), Current.end(), Dst))
         continue;
+      if (DU.Uses.empty())
+        DU = countDefsUses(F);
       // Disappearing is legitimate only when the derived value itself is
       // gone: dead-code elimination of an unused destination, or the
       // peephole folding the KEEP_LIVE into a fused addressing mode (which

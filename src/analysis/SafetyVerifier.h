@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -101,7 +100,8 @@ public:
              std::vector<SafetyDiag> &Out);
 
 private:
-  std::map<std::string, std::set<uint32_t>> Snapshots;
+  /// Function name -> its KeepLive destinations, ascending.
+  std::map<std::string, std::vector<uint32_t>> Snapshots;
 };
 
 /// Renders a diagnostic as one human-readable line.

@@ -550,7 +550,40 @@ void Collector::markAddress(uintptr_t Addr, bool FromHeap) {
     MarkStack.push_back({Base, Size});
 }
 
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__)
+#define GCSAFE_NO_SANITIZE_ADDRESS __attribute__((no_sanitize_address))
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define GCSAFE_NO_SANITIZE_ADDRESS __attribute__((no_sanitize_address))
+#endif
+#endif
+#ifndef GCSAFE_NO_SANITIZE_ADDRESS
+#define GCSAFE_NO_SANITIZE_ADDRESS
+#endif
+
+/// Reads one word of the machine stack. A conservative scan reads whole
+/// frames, redzones and dead locals included, so, like bdwgc's stack scan,
+/// these loads are exempt from AddressSanitizer; heap scans are not. A
+/// plain load, since ASan intercepts memcpy.
+GCSAFE_NO_SANITIZE_ADDRESS uintptr_t loadStackWord(uintptr_t Addr) {
+  return *reinterpret_cast<const uintptr_t *>(Addr);
+}
+
+} // namespace
+
 void Collector::markRange(const char *Begin, const char *End, bool FromHeap) {
+  markWords(Begin, End, FromHeap, [](uintptr_t Addr) {
+    uintptr_t Word;
+    std::memcpy(&Word, reinterpret_cast<const void *>(Addr), sizeof(Word));
+    return Word;
+  });
+}
+
+template <typename LoadWord>
+void Collector::markWords(const char *Begin, const char *End, bool FromHeap,
+                          LoadWord Load) {
   uintptr_t B = reinterpret_cast<uintptr_t>(Begin);
   uintptr_t E = reinterpret_cast<uintptr_t>(End);
   B = (B + sizeof(uintptr_t) - 1) & ~(sizeof(uintptr_t) - 1);
@@ -562,9 +595,7 @@ void Collector::markRange(const char *Begin, const char *End, bool FromHeap) {
   // only plausible words pay for the call.
   const uintptr_t Lo = HeapLo, Span = HeapSpan;
   for (size_t I = 0; I < Words; ++I) {
-    uintptr_t Word;
-    std::memcpy(&Word, reinterpret_cast<const void *>(B + I * sizeof(Word)),
-                sizeof(Word));
+    uintptr_t Word = Load(B + I * sizeof(Word));
     if (Word - Lo < Span)
       markAddress(Word, FromHeap);
   }
@@ -586,9 +617,10 @@ void Collector::scanMachineStack() {
   // current frame to the recorded stack bottom.
   std::jmp_buf Env;
   setjmp(Env);
-  markRange(reinterpret_cast<const char *>(&Env),
+  markWords(reinterpret_cast<const char *>(&Env),
             reinterpret_cast<const char *>(StackBottom),
-            /*FromHeap=*/false);
+            /*FromHeap=*/false,
+            [](uintptr_t Addr) { return loadStackWord(Addr); });
 }
 
 void Collector::collect() {

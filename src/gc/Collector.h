@@ -436,6 +436,10 @@ private:
 
   void markAddress(uintptr_t Addr, bool FromHeap);
   void markRange(const char *Begin, const char *End, bool FromHeap);
+  /// markRange with every word read through \p Load.
+  template <typename LoadWord>
+  void markWords(const char *Begin, const char *End, bool FromHeap,
+                 LoadWord Load);
   void drainMarkStack();
   void scanMachineStack();
   void sweep();

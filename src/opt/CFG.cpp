@@ -233,15 +233,16 @@ Liveness::Liveness(const Function &F, const CFGInfo &CFG) {
       }
 
   // Iterate backward dataflow to fixpoint.
+  RegSet Empty(F.NumRegs), Out, In;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (auto It = CFG.rpo().rbegin(); It != CFG.rpo().rend(); ++It) {
       uint32_t B = *It;
-      RegSet Out(F.NumRegs);
+      Out = Empty;
       for (uint32_t S : CFG.successors()[B])
         Out.unionWith(LiveIn[S]);
-      RegSet In = Out;
+      In = Out;
       const auto &Insts = F.Blocks[B].Insts;
       for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt) {
         const Instruction &I = *IIt;
@@ -256,8 +257,9 @@ Liveness::Liveness(const Function &F, const CFGInfo &CFG) {
   }
 
   // Pressure: walk each block backward from LiveOut counting live regs.
+  RegSet &Live = In;
   for (size_t B = 0; B < N; ++B) {
-    RegSet Live = LiveOut[B];
+    Live = LiveOut[B];
     unsigned Max = Live.count();
     const auto &Insts = F.Blocks[B].Insts;
     for (auto IIt = Insts.rbegin(); IIt != Insts.rend(); ++IIt) {

@@ -57,6 +57,17 @@ public:
 
   unsigned count() const;
 
+  /// Calls \p Fn on every member in ascending order and leaves the set
+  /// empty, so one set can be reused without a scan of every register.
+  template <typename Callable> void drain(Callable Fn) {
+    for (size_t I = 0; I < Words.size(); ++I) {
+      uint64_t W = Words[I];
+      Words[I] = 0;
+      for (; W; W &= W - 1)
+        Fn(static_cast<uint32_t>(I * 64 + __builtin_ctzll(W)));
+    }
+  }
+
 private:
   std::vector<uint64_t> Words;
 };

@@ -978,61 +978,61 @@ void gcsafe::opt::insertKills(Function &F, PassStats &Stats) {
   CFGInfo CFG(F);
   Liveness LV(F, CFG);
 
+  auto MakeKill = [&](uint32_t R) {
+    Instruction K;
+    K.Op = Opcode::Kill;
+    K.A = Value::reg(R);
+    ++Stats.KillsInserted;
+    return K;
+  };
+
+  RegSet Live, Closure(F.NumRegs);
+  // (instruction index, register) of every death in the block, in the
+  // order of the backward walk: descending index, and for one index the
+  // order its kills are emitted in.
+  std::vector<std::pair<size_t, uint32_t>> Deaths;
   for (uint32_t BId = 0; BId < F.Blocks.size(); ++BId) {
     BasicBlock &B = F.Blocks[BId];
     size_t N = B.Insts.size();
-    std::vector<std::vector<uint32_t>> DiesAt(N);
+    Deaths.clear();
 
-    RegSet Live = LV.liveOut(BId);
+    Live = LV.liveOut(BId);
     for (size_t RI = N; RI-- > 0;) {
       const Instruction &I = B.Insts[RI];
       if (I.Dst != NoReg) {
         if (!Live.test(I.Dst) && !I.isTerminator())
-          DiesAt[RI].push_back(I.Dst); // dead on arrival
+          Deaths.emplace_back(RI, I.Dst); // dead on arrival
         Live.clear(I.Dst);
       }
-      RegSet Closure(F.NumRegs);
+      // Any register in the use closure not yet live dies here (this is
+      // its last use going forward).
       forEachUse(I, [&](uint32_t R) { LV.expandUse(R, Closure); });
-      // Any register in the closure not yet live dies here (this is its
-      // last use going forward).
-      forEachUse(I, [&](uint32_t R) { (void)R; });
-      for (uint32_t R = 0; R < F.NumRegs; ++R) {
-        if (!Closure.test(R))
-          continue;
+      Closure.drain([&](uint32_t R) {
         // A register that is both read (directly or as a KEEP_LIVE base)
         // and written by this instruction must not be killed after it:
         // the kill would refer to the freshly written value.
         if (!Live.test(R) && !I.isTerminator() && R != I.Dst)
-          DiesAt[RI].push_back(R);
+          Deaths.emplace_back(RI, R);
         Live.set(R);
-      }
+      });
     }
 
+    std::vector<Instruction> NewInsts;
+    NewInsts.reserve(N + Deaths.size() + F.ParamRegs.size());
     // Entry block: parameters never used die immediately.
-    std::vector<uint32_t> EntryKills;
     if (BId == 0)
       for (uint32_t P : F.ParamRegs)
         if (!LV.liveIn(0).test(P) && !Live.test(P))
-          EntryKills.push_back(P);
-
-    std::vector<Instruction> NewInsts;
-    NewInsts.reserve(N + 8);
-    for (uint32_t R : EntryKills) {
-      Instruction K;
-      K.Op = Opcode::Kill;
-      K.A = Value::reg(R);
-      NewInsts.push_back(std::move(K));
-      ++Stats.KillsInserted;
-    }
+          NewInsts.push_back(MakeKill(P));
+    size_t Next = Deaths.size();
     for (size_t Idx = 0; Idx < N; ++Idx) {
       NewInsts.push_back(std::move(B.Insts[Idx]));
-      for (uint32_t R : DiesAt[Idx]) {
-        Instruction K;
-        K.Op = Opcode::Kill;
-        K.A = Value::reg(R);
-        NewInsts.push_back(std::move(K));
-        ++Stats.KillsInserted;
-      }
+      size_t First = Next;
+      while (First > 0 && Deaths[First - 1].first == Idx)
+        --First;
+      for (size_t K = First; K < Next; ++K)
+        NewInsts.push_back(MakeKill(Deaths[K].second));
+      Next = First;
     }
     B.Insts = std::move(NewInsts);
   }
