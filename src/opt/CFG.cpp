@@ -40,13 +40,10 @@ unsigned RegSet::count() const {
 // CFGInfo
 //===----------------------------------------------------------------------===//
 
-CFGInfo::CFGInfo(const Function &FIn) : F(FIn) {
+CFGInfo::CFGInfo(const Function &F) {
   size_t N = F.Blocks.size();
   Succs.resize(N);
-  Preds.resize(N);
   Reachable.assign(N, false);
-  RPOIndex.assign(N, ~0u);
-  IDom.assign(N, ~0u);
 
   for (size_t B = 0; B < N; ++B)
     blockSuccessors(F.Blocks[B], Succs[B]);
@@ -73,34 +70,44 @@ CFGInfo::CFGInfo(const Function &FIn) : F(FIn) {
     }
   }
   RPO.assign(PostOrder.rbegin(), PostOrder.rend());
-  for (size_t I = 0; I < RPO.size(); ++I) {
-    RPOIndex[RPO[I]] = static_cast<uint32_t>(I);
-    Reachable[RPO[I]] = true;
-  }
-  for (size_t B = 0; B < N; ++B)
-    if (Reachable[B])
-      for (uint32_t S : Succs[B])
-        Preds[S].push_back(static_cast<uint32_t>(B));
-
-  computeDominators();
+  for (uint32_t B : RPO)
+    Reachable[B] = true;
 }
 
-void CFGInfo::computeDominators() {
-  // Cooper/Harvey/Kennedy iterative algorithm over RPO.
+//===----------------------------------------------------------------------===//
+// Loops
+//===----------------------------------------------------------------------===//
+
+std::vector<LoopInfo> gcsafe::opt::findLoops(const Function &F,
+                                             const CFGInfo &CFG) {
+  std::vector<LoopInfo> Loops;
+  size_t N = F.Blocks.size();
+  const std::vector<uint32_t> &RPO = CFG.rpo();
   if (RPO.empty())
-    return;
+    return Loops;
+  // Predecessors among reachable blocks.
+  std::vector<std::vector<uint32_t>> Preds(N);
+  for (size_t B = 0; B < N; ++B)
+    if (CFG.isReachable(static_cast<uint32_t>(B)))
+      for (uint32_t S : CFG.successors()[B])
+        Preds[S].push_back(static_cast<uint32_t>(B));
+
+  // Immediate dominators: Cooper/Harvey/Kennedy, iterated over RPO. The
+  // entry is its own; unreachable blocks keep ~0u.
+  std::vector<uint32_t> Index(N, ~0u), IDom(N, ~0u);
+  for (size_t I = 0; I < RPO.size(); ++I)
+    Index[RPO[I]] = static_cast<uint32_t>(I);
   IDom[RPO[0]] = RPO[0];
-  bool Changed = true;
   auto Intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
-      while (RPOIndex[A] > RPOIndex[B])
+      while (Index[A] > Index[B])
         A = IDom[A];
-      while (RPOIndex[B] > RPOIndex[A])
+      while (Index[B] > Index[A])
         B = IDom[B];
     }
     return A;
   };
-  while (Changed) {
+  for (bool Changed = true; Changed;) {
     Changed = false;
     for (size_t I = 1; I < RPO.size(); ++I) {
       uint32_t B = RPO[I];
@@ -116,41 +123,20 @@ void CFGInfo::computeDominators() {
       }
     }
   }
-}
-
-bool CFGInfo::dominates(uint32_t A, uint32_t B) const {
-  if (!Reachable[A] || !Reachable[B])
-    return false;
-  uint32_t Entry = RPO.front();
-  while (true) {
-    if (B == A)
-      return true;
-    if (B == Entry)
-      return A == Entry;
-    B = IDom[B];
-    if (B == ~0u)
-      return false;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Loops
-//===----------------------------------------------------------------------===//
-
-std::vector<LoopInfo> gcsafe::opt::findLoops(const Function &F,
-                                             const CFGInfo &CFG) {
-  std::vector<LoopInfo> Loops;
-  size_t N = F.Blocks.size();
+  // Whether \p A dominates the reachable block \p B: A is on B's
+  // dominator chain, which ends at the entry.
+  auto Dominates = [&](uint32_t A, uint32_t B) {
+    while (B != A && B != RPO[0])
+      B = IDom[B];
+    return B == A;
+  };
 
   // Collect back edges and group by header.
   std::vector<std::vector<uint32_t>> Latches(N);
-  for (size_t B = 0; B < N; ++B) {
-    if (!CFG.isReachable(static_cast<uint32_t>(B)))
-      continue;
+  for (uint32_t B : RPO)
     for (uint32_t S : CFG.successors()[B])
-      if (CFG.dominates(S, static_cast<uint32_t>(B)))
-        Latches[S].push_back(static_cast<uint32_t>(B));
-  }
+      if (Dominates(S, B))
+        Latches[S].push_back(B);
 
   for (size_t H = 0; H < N; ++H) {
     if (Latches[H].empty())
@@ -166,7 +152,7 @@ std::vector<LoopInfo> gcsafe::opt::findLoops(const Function &F,
     while (!Work.empty()) {
       uint32_t B = Work.back();
       Work.pop_back();
-      for (uint32_t P : CFG.predecessors()[B])
+      for (uint32_t P : Preds[B])
         if (!InLoop[P]) {
           InLoop[P] = true;
           Work.push_back(P);
@@ -179,7 +165,7 @@ std::vector<LoopInfo> gcsafe::opt::findLoops(const Function &F,
     // Unique out-of-loop predecessor of the header = preheader.
     uint32_t Pre = ~0u;
     bool Unique = true;
-    for (uint32_t P : CFG.predecessors()[Loop.Header]) {
+    for (uint32_t P : Preds[Loop.Header]) {
       if (InLoop[P])
         continue;
       if (Pre != ~0u)

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Control-flow analyses over ir::Function: successors/predecessors,
-/// reverse post-order, dominators, natural loops, def/use counting, and a
-/// KEEP_LIVE-aware liveness analysis.
+/// Control-flow analyses over ir::Function: successors, reverse
+/// post-order, natural loops (found through predecessors and dominators),
+/// def/use counting, and a KEEP_LIVE-aware liveness analysis.
 ///
 /// The liveness analysis implements the paper's KEEP_LIVE condition (2):
 /// the base operand of a KeepLive "must be visible to the collector at all
@@ -80,27 +80,14 @@ public:
   const std::vector<std::vector<uint32_t>> &successors() const {
     return Succs;
   }
-  const std::vector<std::vector<uint32_t>> &predecessors() const {
-    return Preds;
-  }
   /// Reverse post-order over reachable blocks.
   const std::vector<uint32_t> &rpo() const { return RPO; }
   bool isReachable(uint32_t B) const { return Reachable[B]; }
 
-  /// Immediate dominator of each block (header of idom tree); entry's idom
-  /// is itself; unreachable blocks map to ~0u.
-  const std::vector<uint32_t> &idom() const { return IDom; }
-  bool dominates(uint32_t A, uint32_t B) const;
-
 private:
-  void computeDominators();
-
-  const ir::Function &F;
-  std::vector<std::vector<uint32_t>> Succs, Preds;
+  std::vector<std::vector<uint32_t>> Succs;
   std::vector<uint32_t> RPO;
-  std::vector<uint32_t> RPOIndex;
   std::vector<bool> Reachable;
-  std::vector<uint32_t> IDom;
 };
 
 /// A natural loop.
@@ -117,8 +104,8 @@ struct LoopInfo {
   }
 };
 
-/// Finds natural loops (one per back edge; loops sharing a header are
-/// merged).
+/// Finds natural loops (one per back edge, an edge to a block that
+/// dominates its source; loops sharing a header are merged).
 std::vector<LoopInfo> findLoops(const ir::Function &F, const CFGInfo &CFG);
 
 /// Def and use counts per virtual register.
