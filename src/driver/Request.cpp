@@ -73,19 +73,26 @@ bool RequestContext::parse(std::string &Error) {
   return false;
 }
 
-std::string RequestContext::preprocessedSource() {
-  switch (Opts.Mode) {
+bool gcsafe::driver::preprocesses(CompileMode Mode) {
+  switch (Mode) {
   case CompileMode::O2Safe:
   case CompileMode::O2SafePost:
-    return Comp.annotatedSource(annotate::AnnotationMode::GCSafe, Opts.Annot);
   case CompileMode::DebugChecked:
-    return Comp.annotatedSource(annotate::AnnotationMode::Checked,
-                                Opts.Annot);
+    return true;
   case CompileMode::O2:
   case CompileMode::Debug:
-    return Opts.Source;
+    return false;
   }
-  return Opts.Source;
+  return false;
+}
+
+std::string RequestContext::preprocessedSource() {
+  if (!preprocesses(Opts.Mode))
+    return Opts.Source;
+  return Comp.annotatedSource(Opts.Mode == CompileMode::DebugChecked
+                                  ? annotate::AnnotationMode::Checked
+                                  : annotate::AnnotationMode::GCSafe,
+                              Opts.Annot);
 }
 
 RequestOutcome RequestContext::execute() {

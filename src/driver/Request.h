@@ -98,6 +98,10 @@ struct RequestOutcome {
   bool HasLint = false;
 };
 
+/// Whether \p Mode compiles an annotated rendering of the source (safe,
+/// safepost, checked) rather than the source as written (o2, debug).
+bool preprocesses(CompileMode Mode);
+
 /// One request's private state. Not copyable; not shared across threads.
 class RequestContext {
 public:

@@ -7,7 +7,8 @@
 using namespace gcsafe;
 using namespace gcsafe::serve;
 
-bool ContentCache::lookup(const std::string &Key, std::string &Out) {
+bool ContentCache::lookup(const std::string &Key, std::string &Out,
+                          bool CountMiss) {
   // The gap between a miss here and the caller's single-flight election
   // is where a duplicate compile would sneak in; the schedule fuzzer
   // widens it on demand (tests/test_race.cpp).
@@ -15,13 +16,18 @@ bool ContentCache::lookup(const std::string &Key, std::string &Out) {
   support::RankedGuard Lock(Mu);
   auto It = Map.find(Key);
   if (It == Map.end()) {
-    ++Misses;
+    Misses += CountMiss;
     return false;
   }
   ++Hits;
   Lru.splice(Lru.begin(), Lru, It->second);
   Out = It->second->second;
   return true;
+}
+
+bool ContentCache::contains(const std::string &Key) const {
+  support::RankedGuard Lock(Mu);
+  return Map.count(Key) != 0;
 }
 
 void ContentCache::insert(const std::string &Key, std::string Payload) {

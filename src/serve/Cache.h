@@ -47,8 +47,14 @@ public:
       : MaxEntries(MaxEntries ? MaxEntries : 1) {}
 
   /// True on a hit; copies the payload into \p Out and marks the entry
-  /// most-recently-used.
-  bool lookup(const std::string &Key, std::string &Out);
+  /// most-recently-used. A miss is counted only with \p CountMiss, so a
+  /// caller that probes ahead of a later counted probe (the service's
+  /// admission probe) counts each request once.
+  bool lookup(const std::string &Key, std::string &Out, bool CountMiss = true);
+
+  /// Whether \p Key is present. Uncounted, and it leaves the LRU order
+  /// alone.
+  bool contains(const std::string &Key) const;
 
   /// Records \p Payload under \p Key (no-op if the key is already
   /// present), evicting the least-recently-used entry when full.

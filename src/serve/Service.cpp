@@ -137,6 +137,13 @@ ServeResult resultFromOutcome(driver::RequestOutcome &&Outcome) {
   return R;
 }
 
+/// A serialized payload back into a result; false when it does not parse.
+bool resultFromPayload(const std::string &Payload, ServeResult &Out) {
+  support::Json J;
+  std::string Error;
+  return support::Json::parse(Payload, J, Error) && serveResultFromJson(J, Out);
+}
+
 ServeResult typedResult(const char *Status, int ExitCode, std::string Error) {
   ServeResult R;
   R.Ok = false;
@@ -163,7 +170,8 @@ void clampWatchdogs(driver::RequestOptions &O, uint64_t DeadlineAtNs) {
 } // namespace
 
 CompileService::CompileService(ServiceOptions O)
-    : Opts(O), Cache(O.CacheMaxEntries), StartNs(support::monotonicNowNs()),
+    : Opts(O), Cache(O.CacheMaxEntries), Front(O.CacheMaxEntries),
+      StartNs(support::monotonicNowNs()),
       Trace(O.TraceCapacity ? O.TraceCapacity : 4096),
       Flight(O.FlightCapacity ? O.FlightCapacity : 2048) {
   if (!Opts.StoreDir.empty()) {
@@ -275,25 +283,77 @@ void CompileService::workerLoop() {
   }
 }
 
+CompileService::Admission
+CompileService::admit(driver::RequestOptions Request, bool UseCache) {
+  Admission A;
+  // The deadline clock starts at admission: time spent queued counts
+  // against the request's budget — so does the queue-wait histogram.
+  A.SubmitNs = support::monotonicNowNs();
+  A.DeadlineAtNs = Request.DeadlineNs ? A.SubmitNs + Request.DeadlineNs : 0;
+  A.UseCache = UseCache;
+  A.TraceId = assignRequestId(Request);
+  A.Flags = canonicalFlagString(Request);
+  support::ContentHasher H(driver::keyFingerprint());
+  H.update(Request.Source);
+  H.update(A.Flags);
+  A.RawKey = H.hex();
+  A.Request = std::move(Request);
+  return A;
+}
+
+bool CompileService::answerFromCache(const Admission &A, ServeResult &Out) {
+  if (!A.UseCache || !Opts.CacheEnabled)
+    return false;
+  // An expired request is left to compileAt, which reports the expiry.
+  uint64_t LookupStartNs = support::monotonicNowNs();
+  if (A.DeadlineAtNs && LookupStartNs > A.DeadlineAtNs)
+    return false;
+  // The frontend is a pure function of the raw source and the flags, so
+  // a raw key that compiled once names its canonical key for good. A mode
+  // that compiles the source as written needs no entry: its raw key is
+  // the canonical key. A preprocessing mode must not fall back on the raw
+  // key, which may be another request's canonical key (its annotated
+  // text).
+  std::string Key = A.RawKey, Payload;
+  if (driver::preprocesses(A.Request.Mode) && !Front.lookup(A.RawKey, Key))
+    return false;
+  // Only a hit counts here: a miss is counted by the worker's first
+  // probe, so each request counts one hit or one miss.
+  if (!Cache.lookup(Key, Payload, /*CountMiss=*/false))
+    return false;
+  uint64_t LookupNs = support::monotonicNowNs() - LookupStartNs;
+  ServeResult Warm;
+  if (!resultFromPayload(Payload, Warm))
+    return false;
+  beginRequest(A, 0);
+  recordLookup(A, LookupNs);
+  Out = replayHit(A, Key, std::move(Warm));
+  return true;
+}
+
 std::future<ServeResult>
 CompileService::submit(driver::RequestOptions Request, bool UseCache) {
-  // The deadline clock starts at submission: time spent queued counts
-  // against the request's budget — so does the queue-wait histogram.
-  uint64_t SubmitNs = support::monotonicNowNs();
-  uint64_t DeadlineAtNs = Request.DeadlineNs ? SubmitNs + Request.DeadlineNs : 0;
   bool Injected = injectFault("serve.queue.full");
-  std::string Name = Request.Name;
-  std::string TraceId = assignRequestId(Request);
-  std::string Rid = Request.RequestId;
-  std::hash<std::string> Hash;
-  size_t Identity =
-      Hash(Request.Source) * 31 + Hash(canonicalFlagString(Request));
+  Admission A = admit(std::move(Request), UseCache);
+  // A hit is answered here, on the caller's thread: it takes no queue
+  // slot and no election ticket. A stopping or draining service, or an
+  // injected full queue, sheds it below like any other request.
+  if (!Injected && !Stopping.load(std::memory_order_acquire) &&
+      !Draining.load(std::memory_order_acquire)) {
+    ServeResult Hit;
+    if (answerFromCache(A, Hit)) {
+      std::promise<ServeResult> P;
+      P.set_value(std::move(Hit));
+      return P.get_future();
+    }
+  }
+  std::string Name = A.Request.Name;
+  std::string TraceId = A.TraceId;
+  std::string Rid = A.Request.RequestId;
+  size_t Identity = std::hash<std::string>()(A.RawKey);
 
   std::packaged_task<ServeResult()> Task(
-      [this, Request = std::move(Request), UseCache, DeadlineAtNs, SubmitNs,
-       TraceId]() mutable {
-        return compileAt(Request, UseCache, DeadlineAtNs, SubmitNs, TraceId);
-      });
+      [this, A = std::move(A)] { return compileAt(A); });
   std::future<ServeResult> F = Task.get_future();
 
   const char *Shed = nullptr;
@@ -383,17 +443,63 @@ void CompileService::countResult(const ServeResult &R) {
 
 ServeResult CompileService::compile(const driver::RequestOptions &Request,
                                     bool UseCache) {
-  driver::RequestOptions Req = Request;
-  uint64_t SubmitNs = support::monotonicNowNs();
-  uint64_t DeadlineAtNs = Req.DeadlineNs ? SubmitNs + Req.DeadlineNs : 0;
-  std::string TraceId = assignRequestId(Req);
-  return compileAt(Req, UseCache, DeadlineAtNs, SubmitNs, TraceId);
+  Admission A = admit(Request, UseCache);
+  ServeResult Hit;
+  if (answerFromCache(A, Hit))
+    return Hit;
+  return compileAt(A);
 }
 
-ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
-                                      bool UseCache, uint64_t DeadlineAtNs,
-                                      uint64_t SubmitNs,
-                                      const std::string &TraceId) {
+void CompileService::beginRequest(const Admission &A, uint64_t QueueWaitNs) {
+  Requests.fetch_add(1, std::memory_order_relaxed);
+  traceEmit("request.begin", 0, 0, A.TraceId + " " + A.Request.Name);
+  Flight.record("serve", "request.begin", A.TraceId, 0, CurrentWorker);
+  {
+    support::RankedGuard Lock(HistMu);
+    HistQueueWait.record(QueueWaitNs);
+  }
+  Flight.record("serve", "queue.wait", A.TraceId, QueueWaitNs, CurrentWorker);
+}
+
+void CompileService::recordLookup(const Admission &A, uint64_t LookupNs) {
+  {
+    support::RankedGuard Lock(HistMu);
+    HistCacheLookup.record(LookupNs);
+  }
+  Flight.record("serve", "cache.lookup", A.TraceId, LookupNs, CurrentWorker);
+}
+
+ServeResult CompileService::replayHit(const Admission &A,
+                                      const std::string &Key,
+                                      ServeResult Warm) {
+  Warm.CacheKey = Key;
+  Warm.Cached = true;
+  traceEmit("cache.hit", 0, 0, A.TraceId + " " + Key);
+  Flight.record("serve", "cache.hit", A.TraceId, 0, CurrentWorker);
+  return finishRequest(A, std::move(Warm), 1);
+}
+
+ServeResult CompileService::finishRequest(const Admission &A, ServeResult R,
+                                          uint64_t CachedAux) {
+  R.RequestId = A.Request.RequestId;
+  countResult(R);
+  uint64_t E2ENs = support::monotonicNowNs() - A.SubmitNs;
+  {
+    support::RankedGuard Lock(HistMu);
+    HistE2E.record(E2ENs);
+  }
+  Flight.record("serve", "e2e", A.TraceId, E2ENs, CurrentWorker);
+  traceEmit("request.end", uint64_t(R.ExitCode), CachedAux,
+            A.TraceId + " " + A.Request.Name);
+  Flight.record("serve", "request.end", A.TraceId, uint64_t(R.ExitCode),
+                CurrentWorker);
+  return R;
+}
+
+ServeResult CompileService::compileAt(const Admission &A) {
+  const driver::RequestOptions &Request = A.Request;
+  const std::string &TraceId = A.TraceId;
+  const uint64_t DeadlineAtNs = A.DeadlineAtNs;
   const uint32_t Worker = CurrentWorker;
   // Given up at the election below, or on any earlier return.
   struct TurnGuard {
@@ -409,36 +515,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
   } Turn{this, CurrentIdentity, CurrentTicket};
   CurrentTicket = 0;
   uint64_t BeginNs = support::monotonicNowNs();
-  Requests.fetch_add(1, std::memory_order_relaxed);
-  traceEmit("request.begin", 0, 0, TraceId + " " + Request.Name);
-  Flight.record("serve", "request.begin", TraceId, 0, Worker);
-
-  uint64_t QueueWaitNs = BeginNs > SubmitNs ? BeginNs - SubmitNs : 0;
-  {
-    support::RankedGuard Lock(HistMu);
-    HistQueueWait.record(QueueWaitNs);
-  }
-  Flight.record("serve", "queue.wait", TraceId, QueueWaitNs, Worker);
-
-  // Every exit path below funnels through this: the echoed request id,
-  // the response counters, the end-to-end histogram (its count therefore
-  // equals serve.requests exactly — the chaos harness asserts this), and
-  // the request.end markers.
-  auto Finish = [&](ServeResult R, uint64_t CachedAux) {
-    R.RequestId = Request.RequestId;
-    countResult(R);
-    uint64_t E2ENs = support::monotonicNowNs() - SubmitNs;
-    {
-      support::RankedGuard Lock(HistMu);
-      HistE2E.record(E2ENs);
-    }
-    Flight.record("serve", "e2e", TraceId, E2ENs, Worker);
-    traceEmit("request.end", uint64_t(R.ExitCode), CachedAux,
-              TraceId + " " + Request.Name);
-    Flight.record("serve", "request.end", TraceId, uint64_t(R.ExitCode),
-                  Worker);
-    return R;
-  };
+  beginRequest(A, BeginNs > A.SubmitNs ? BeginNs - A.SubmitNs : 0);
 
   // A request that expired while queued never starts — and never gets a
   // chance to insert anything into the cache or the memo.
@@ -446,9 +523,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
     traceEmit("request.deadline", 0, 0, TraceId + " " + Request.Name);
     Flight.record("serve", "request.deadline", TraceId, 0, Worker);
-    return Finish(typedResult("deadline", support::ExitWatchdogTimeout,
-                              "deadline expired before the compile started"),
-                  0);
+    return finishRequest(
+        A,
+        typedResult("deadline", support::ExitWatchdogTimeout,
+                    "deadline expired before the compile started"),
+        0);
   }
 
   // Request-private state; the only shared pieces are content-keyed.
@@ -474,11 +553,16 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     // payload, from memory or from the durable store.
     support::ContentHasher H(driver::keyFingerprint());
     H.update(Ctx.preprocessedSource());
-    H.update(canonicalFlagString(Request));
+    H.update(A.Flags);
     Result.CacheKey = H.hex();
   }
 
-  bool WantCache = UseCache && Opts.CacheEnabled && !Result.CacheKey.empty();
+  bool WantCache = A.UseCache && Opts.CacheEnabled && !Result.CacheKey.empty();
+  // The next identical request is answered at admission; the payload key
+  // stays the canonical one, so warm bytes, the durable store and
+  // textually different sources that annotate alike are as before.
+  if (WantCache && driver::preprocesses(Request.Mode))
+    Front.insert(A.RawKey, Result.CacheKey);
 
   // Releases single-flight leadership on every exit path below.
   struct FlightGuard {
@@ -512,28 +596,15 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         // Only the first probe counts: re-checks after waiting out a
         // single-flight leader measure the leader, not the cache.
         LookupTimed = true;
-        uint64_t LookupNs = support::monotonicNowNs() - LookupStartNs;
-        {
-          support::RankedGuard Lock(HistMu);
-          HistCacheLookup.record(LookupNs);
-        }
-        Flight.record("serve", "cache.lookup", TraceId, LookupNs, Worker);
+        recordLookup(A, support::monotonicNowNs() - LookupStartNs);
       }
-      if (Hit) {
-        support::Json J;
-        std::string JsonError;
-        ServeResult Warm;
-        if (support::Json::parse(Payload, J, JsonError) &&
-            serveResultFromJson(J, Warm)) {
-          Warm.CacheKey = Result.CacheKey;
-          Warm.Cached = true;
-          traceEmit("cache.hit", 0, 0, TraceId + " " + Result.CacheKey);
-          Flight.record("serve", "cache.hit", TraceId, 0, Worker);
-          return Finish(std::move(Warm), 1);
-        }
-        // An unparseable payload cannot happen via insert(); treat it as
-        // a miss and overwrite below.
-      }
+      // A hit here is a store promotion, a single-flight re-check, or a
+      // raw key the front index had not seen (or had evicted). An
+      // unparseable payload cannot happen via insert(); it is treated as
+      // a miss and overwritten below.
+      ServeResult Warm;
+      if (Hit && resultFromPayload(Payload, Warm))
+        return replayHit(A, Result.CacheKey, std::move(Warm));
       // Memory miss: read through to the durable store (once — a re-loop
       // after a store hit or a single-flight wait consults memory only).
       // A validated disk entry is promoted into the memory cache and
@@ -565,6 +636,11 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
         Turn.Ticket = 0;
       }
       if (!InFlight.count(Result.CacheKey)) {
+        // A leader may have published and left between our probe above
+        // and this lock: its payload is then cached, so look again
+        // rather than compile it twice.
+        if (Cache.contains(Result.CacheKey))
+          continue;
         InFlight.insert(Result.CacheKey);
         Leader.S = this;
         Leader.Key = Result.CacheKey;
@@ -592,7 +668,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
                           "deadline expired while waiting for an "
                           "in-flight identical compile");
           R.CacheKey = Result.CacheKey;
-          return Finish(std::move(R), 0);
+          return finishRequest(A, std::move(R), 0);
         }
       } else {
         InFlightCv.wait(L);
@@ -693,7 +769,7 @@ ServeResult CompileService::compileAt(const driver::RequestOptions &Request,
     GCSAFE_INTERLEAVE_POINT("serve.singleflight.publish");
   }
 
-  return Finish(std::move(Result), 0);
+  return finishRequest(A, std::move(Result), 0);
 }
 
 ServeResult
@@ -804,11 +880,8 @@ CompileService::isolatedCompile(const driver::RequestOptions &Request,
       break;
     }
 
-    support::Json J;
-    std::string JsonError;
     ServeResult R;
-    if (!support::Json::parse(Out.Payload, J, JsonError) ||
-        !serveResultFromJson(J, R)) {
+    if (!resultFromPayload(Out.Payload, R)) {
       DumpCrash(0);
       return typedResult("crashed", support::ExitWorkerCrash,
                          "isolated worker exited (status " +

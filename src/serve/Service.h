@@ -16,8 +16,14 @@
 /// Every request gets a fresh RequestContext — fault injector, trace
 /// ring, self-heal ladder and quarantine set are all request-private —
 /// so nothing a request degrades leaks into the next one. The only
-/// cross-request state is deliberately shareable: the response cache and
-/// the verify memo, both keyed purely on content.
+/// cross-request state is deliberately shareable: the response cache, its
+/// front index and the verify memo, all keyed purely on content.
+///
+/// Warm hits are answered at admission (docs/SERVING.md §3): a front
+/// index maps the request's *raw* key (raw source + canonical flags) to
+/// its canonical cache key, so submit() and compile() replay a cached
+/// payload on the caller's thread without the frontend, a queue slot or
+/// a worker. Everything else is queued as before.
 ///
 /// Overload behavior (docs/SERVING.md §"Operating under load"): submit()
 /// is admission-controlled — past QueueMax queued requests (or once the
@@ -158,15 +164,20 @@ public:
   CompileService &operator=(const CompileService &) = delete;
   ~CompileService(); ///< stop(): drains the queue and joins the workers.
 
-  /// Runs one request on the calling thread (cache consulted first).
-  /// Admission control does not apply, but the request's DeadlineNs does
-  /// (measured from this call).
+  /// Runs one request on the calling thread (a warm hit is answered
+  /// through the front index first, as in submit()). Admission control
+  /// does not apply, but the request's DeadlineNs does (measured from
+  /// this call).
   ServeResult compile(const driver::RequestOptions &Request,
                       bool UseCache = true);
 
-  /// Enqueues one request for the worker pool. Admission-controlled: on
-  /// a full queue — or a draining or stopped service — the returned
-  /// future is already resolved to a typed shed result (Status
+  /// Enqueues one request for the worker pool. A request whose payload
+  /// is already cached is answered here instead: the returned future is
+  /// resolved to the warm result and the request takes no queue slot, so
+  /// a full queue does not shed it. Admission-controlled: on a full
+  /// queue — or a draining or stopped service, or an injected
+  /// serve.queue.full, which shed hits too — the returned future is
+  /// already resolved to a typed shed result (Status
   /// "overloaded"/"draining"/"shutdown", exit code ExitOverloaded)
   /// instead of enqueueing work that would never run.
   std::future<ServeResult> submit(driver::RequestOptions Request,
@@ -211,6 +222,8 @@ public:
   const ServiceOptions &options() const { return Opts; }
   driver::VerifyMemo &verifyMemo() { return Memo; }
   ContentCache &cache() { return Cache; }
+  /// Raw key → canonical cache key (see Front).
+  const ContentCache &frontIndex() const { return Front; }
   /// The durable store, or null when ServiceOptions::StoreDir is empty.
   Store *store() { return Disk.get(); }
   /// The startup scrub's gcsafe-store-v1 report (null JSON when there is
@@ -218,17 +231,48 @@ public:
   const support::Json &scrubReport() const { return ScrubReport; }
 
 private:
+  /// One request as admitted by submit() or compile().
+  struct Admission {
+    driver::RequestOptions Request; ///< RequestId already assigned.
+    bool UseCache = true;
+    /// When the request was admitted — the queue-wait and end-to-end
+    /// histograms measure from it — and its absolute monotonic expiry
+    /// (0 = none).
+    uint64_t SubmitNs = 0, DeadlineAtNs = 0;
+    std::string TraceId;
+    std::string Flags; ///< canonicalFlagString(Request), built once.
+    /// The canonical key's recipe over the raw source instead of the
+    /// preprocessed one: the front index's key and the election identity.
+    std::string RawKey;
+  };
+  /// Stamps the admission time and deadline, assigns the request id and
+  /// builds the flag string and the raw key.
+  Admission admit(driver::RequestOptions Request, bool UseCache);
+  /// The admission probe: front index, then the memory cache. On a hit
+  /// the request is accounted and answered into \p Out; false otherwise.
+  bool answerFromCache(const Admission &A, ServeResult &Out);
+
   void workerLoop() GCSAFE_EXCLUDES(QueueMu);
   void traceEmit(const char *Name, uint64_t Value, uint64_t Aux,
                  std::string Detail) GCSAFE_EXCLUDES(TraceMu);
   /// The compile body shared by compile() and the pool: cache lookup,
   /// deadline bookkeeping, in-process or sandboxed execution, cache
-  /// insert. DeadlineAtNs is the absolute monotonic expiry (0 = none);
-  /// SubmitNs is when the request was admitted — the queue-wait and
-  /// end-to-end histograms measure from it.
-  ServeResult compileAt(const driver::RequestOptions &Request, bool UseCache,
-                        uint64_t DeadlineAtNs, uint64_t SubmitNs,
-                        const std::string &TraceId);
+  /// insert.
+  ServeResult compileAt(const Admission &A);
+  /// Counts a request that starts executing, after \p QueueWaitNs queued
+  /// (0 for an admission hit): serve.requests, request.begin, queue_wait.
+  void beginRequest(const Admission &A, uint64_t QueueWaitNs);
+  void recordLookup(const Admission &A, uint64_t LookupNs);
+  /// The one hit replay, for admission hits and worker hits alike: stamps
+  /// \p Warm (a cached payload) with its key and Cached, then finishes.
+  ServeResult replayHit(const Admission &A, const std::string &Key,
+                        ServeResult Warm);
+  /// Every exit of a begun request: the echoed request id, the response
+  /// counters, the end-to-end histogram (its count therefore equals
+  /// serve.requests exactly — the chaos harness asserts this), and the
+  /// request.end markers.
+  ServeResult finishRequest(const Admission &A, ServeResult R,
+                            uint64_t CachedAux);
   /// One cache-missing compile under Opts.Isolate: forked sandbox,
   /// SIGKILL deadline, crash retries one rung lower. TraceId stamps the
   /// crash telemetry; a final "crashed" result dumps the flight ring.
@@ -244,6 +288,12 @@ private:
 
   ServiceOptions Opts;
   ContentCache Cache;
+  /// Front index: raw key → canonical key, for the preprocessing modes
+  /// (safe, safepost, checked). Elsewhere the raw key is the canonical
+  /// key, so those modes need no entry. Filled once a parse succeeds, so
+  /// parse failures are never indexed; a preprocessing request with no
+  /// entry is queued, never looked up under its raw key.
+  ContentCache Front;
   /// Durable tier behind Cache (serve/Store.h); null without StoreDir.
   /// Thread-safe; its internal rank (serve.store) sits above every lock
   /// the service holds at a store call site, and the store never calls
@@ -295,7 +345,7 @@ private:
   support::CondVar InFlightCv;
   std::set<std::string> InFlight GCSAFE_GUARDED_BY(InFlightMu);
 
-  /// Election order among identical requests (same source and flags).
+  /// Election order among identical requests (same raw key).
   /// Each pooled request takes a ticket at dequeue, so in submission
   /// order, and gives it up once it has hit the cache or taken its
   /// single-flight side; a miss may not take a side while an identical
@@ -306,8 +356,8 @@ private:
   /// up before it blocks on anything. A hash collision only orders two
   /// unrelated requests.
   support::CondVar TurnCv;
-  /// Tickets not yet given up, keyed by request identity; equal keys
-  /// keep insertion (= ticket) order.
+  /// Tickets not yet given up, keyed by request identity (a hash of the
+  /// raw key); equal keys keep insertion (= ticket) order.
   std::multimap<size_t, uint64_t> Turns GCSAFE_GUARDED_BY(InFlightMu);
   void passTurnLocked(size_t Identity, uint64_t Ticket)
       GCSAFE_REQUIRES(InFlightMu);

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -578,11 +579,38 @@ TEST(ScheduleSweep, SixtyFourSeedsKeepServiceInvariants) {
     driver::RequestOptions Third = tinyRequest("third");
     Third.Verify = driver::SafetyVerify::Final;
     Futures.push_back(Svc.submit(Third));
+    // A warm wave overlapping the cold leaders: two sent at once, queued
+    // and single-flighted behind the first key's leader (or answered at
+    // admission if it has already published), and two once the first
+    // key has resolved, answered at admission while the other leaders
+    // may still run. Either way each replays the leader's bytes.
+    for (int I = 0; I < 2; ++I)
+      Futures.push_back(Svc.submit(tinyRequest()));
+    Futures[0].wait();
+    for (int I = 0; I < 2; ++I) {
+      Futures.push_back(Svc.submit(tinyRequest()));
+      EXPECT_EQ(Futures.back().wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "seed " << Seed << ": a warm submit was queued";
+    }
 
     size_t Ok = 0;
-    for (auto &F : Futures)
-      Ok += F.get().Ok ? 1 : 0;
+    std::map<std::string, std::string> Cold;
+    std::vector<ServeResult> Warm;
+    for (auto &F : Futures) {
+      ServeResult R = F.get();
+      Ok += R.Ok ? 1 : 0;
+      if (!R.Cached)
+        EXPECT_TRUE(Cold.emplace(R.CacheKey, serveResultToJson(R).dump(0))
+                        .second)
+            << "seed " << Seed << ": two cold results for one key";
+      else
+        Warm.push_back(std::move(R));
+    }
     Svc.waitIdle();
+    for (const ServeResult &R : Warm)
+      EXPECT_EQ(serveResultToJson(R).dump(0), Cold[R.CacheKey])
+          << "seed " << Seed;
 
     support::Stats S = Svc.statsSnapshot();
     EXPECT_EQ(Ok, Futures.size()) << "seed " << Seed;

@@ -14,6 +14,7 @@
 #include "serve/Service.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,148 @@ TEST(ServeCache, ConcurrentSameKeyMissesSingleFlight) {
   EXPECT_EQ(Warm, 7u);
   support::Stats S = Svc.statsSnapshot();
   EXPECT_EQ(S.get("serve.cache.insertions"), 1u);
+}
+
+// Warm hits are answered at admission (docs/SERVING.md §3): the front
+// index maps the raw source and flags to the canonical key, so a warm
+// submit() is resolved before it returns, without a queue slot, and
+// replays the cold bytes under the canonical key.
+TEST(ServeFront, WarmSubmitIsAnsweredAtAdmission) {
+  CompileService Svc;
+  ServeResult Cold = Svc.compile(listRequest());
+  ASSERT_TRUE(Cold.Ok);
+  ASSERT_FALSE(Cold.Cached);
+
+  std::future<ServeResult> F = Svc.submit(listRequest());
+  ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  ServeResult Warm = F.get();
+  EXPECT_TRUE(Warm.Cached);
+  EXPECT_EQ(serveResultToJson(Warm).dump(0), serveResultToJson(Cold).dump(0));
+  // compile() never queues, so a nonzero peak could only be this submit.
+  EXPECT_EQ(Svc.statsSnapshot().get("serve.queue.peak"), 0u);
+
+  // The key is still the one over the preprocessed (annotated) source.
+  driver::RequestContext Ctx(listRequest());
+  std::string Error;
+  ASSERT_TRUE(Ctx.parse(Error)) << Error;
+  support::ContentHasher H(driver::keyFingerprint());
+  H.update(Ctx.preprocessedSource());
+  H.update(canonicalFlagString(listRequest()));
+  EXPECT_EQ(Warm.CacheKey, H.hex());
+  EXPECT_EQ(Warm.CacheKey, Cold.CacheKey);
+
+  CacheStats C = Svc.cache().stats();
+  EXPECT_EQ(C.Hits, 1u);
+  EXPECT_EQ(C.Misses, 1u);
+  EXPECT_EQ(Svc.frontIndex().stats().Entries, 1u);
+}
+
+TEST(ServeFront, FlagFlipMissesTheFrontIndex) {
+  CompileService Svc;
+  ASSERT_TRUE(Svc.compile(listRequest()).Ok);
+  CacheStats Before = Svc.frontIndex().stats();
+
+  driver::RequestOptions Flip = listRequest();
+  Flip.Annot.PreferSlowBases = true;
+  ServeResult R = Svc.compile(Flip);
+  ASSERT_TRUE(R.Ok);
+  EXPECT_FALSE(R.Cached);
+  CacheStats After = Svc.frontIndex().stats();
+  EXPECT_EQ(After.Hits, Before.Hits);
+  EXPECT_EQ(After.Misses, Before.Misses + 1);
+  EXPECT_EQ(After.Entries, 2u);
+  // The flipped request now has its own entry.
+  EXPECT_TRUE(Svc.compile(Flip).Cached);
+  EXPECT_EQ(Svc.frontIndex().stats().Hits, Before.Hits + 1);
+}
+
+TEST(ServeFront, ParseFailureIsNeverIndexed) {
+  CompileService Svc;
+  driver::RequestOptions Bad = listRequest();
+  Bad.Source = "int main(void) { return";
+  for (int I = 0; I < 2; ++I) {
+    ServeResult R = Svc.compile(Bad);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_FALSE(R.Cached);
+    EXPECT_TRUE(R.CacheKey.empty());
+  }
+  EXPECT_EQ(Svc.frontIndex().stats().Insertions, 0u);
+  EXPECT_EQ(Svc.cache().stats().Insertions, 0u);
+}
+
+// A request's annotated source, sent back in the same mode, hashes under
+// its raw key to the first request's canonical key. It must still be
+// annotated and compiled (the frontend rejects the annotator's statement
+// expressions), not answered with the first request's payload.
+TEST(ServeFront, AnnotatedSourceSentBackIsNotItsOwnPayload) {
+  CompileService Svc;
+  ServeResult First = Svc.compile(listRequest());
+  ASSERT_TRUE(First.Ok);
+  driver::RequestContext Ctx(listRequest());
+  std::string Error;
+  ASSERT_TRUE(Ctx.parse(Error)) << Error;
+  driver::RequestOptions Again = listRequest();
+  Again.Source = Ctx.preprocessedSource();
+  for (int I = 0; I < 2; ++I) {
+    ServeResult R = I ? Svc.submit(Again).get() : Svc.compile(Again);
+    EXPECT_FALSE(R.Cached);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_TRUE(R.CacheKey.empty());
+  }
+  EXPECT_EQ(Svc.cache().stats().Hits, 0u);
+}
+
+// The o2 and debug modes compile the raw source, so their raw key is the
+// canonical key: they hit at admission without a front entry.
+TEST(ServeFront, RawSourceModesNeedNoEntry) {
+  CompileService Svc;
+  driver::RequestOptions R = listRequest();
+  R.Mode = driver::CompileMode::O2;
+  ServeResult Cold = Svc.compile(R);
+  ASSERT_TRUE(Cold.Ok);
+  std::future<ServeResult> F = Svc.submit(R);
+  ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_TRUE(F.get().Cached);
+  EXPECT_EQ(Svc.frontIndex().stats().Entries, 0u);
+  CacheStats C = Svc.cache().stats();
+  EXPECT_EQ(C.Hits, 1u);
+  EXPECT_EQ(C.Misses, 1u);
+}
+
+// A draining or stopped service, or an injected full queue, sheds a
+// request even when it would hit.
+TEST(ServeFront, StoppingServiceShedsAWouldBeHit) {
+  {
+    CompileService Svc;
+    ASSERT_TRUE(Svc.compile(listRequest()).Ok);
+    Svc.drain();
+    ServeResult R = Svc.submit(listRequest()).get();
+    EXPECT_EQ(R.Status, "draining");
+    EXPECT_FALSE(R.Cached);
+  }
+  {
+    CompileService Svc;
+    ASSERT_TRUE(Svc.compile(listRequest()).Ok);
+    Svc.stop();
+    ServeResult R = Svc.submit(listRequest()).get();
+    EXPECT_EQ(R.Status, "shutdown");
+    EXPECT_FALSE(R.Cached);
+  }
+  support::FaultInjector FI;
+  std::string Error;
+  ASSERT_TRUE(
+      support::FaultInjector::parse("7:serve.queue.full@n1", FI, Error))
+      << Error;
+  ServiceOptions SO;
+  SO.Faults = &FI;
+  CompileService Svc(SO);
+  ASSERT_TRUE(Svc.compile(listRequest()).Ok); // compile() draws no fault
+  ServeResult R = Svc.submit(listRequest()).get();
+  EXPECT_EQ(R.Status, "overloaded");
+  EXPECT_FALSE(R.Cached);
+  support::Stats S = Svc.statsSnapshot();
+  EXPECT_EQ(S.get("serve.queue.shed"), 1u);
+  EXPECT_EQ(S.get("serve.requests"), 1u);
 }
 
 TEST(ServeService, QuarantineDoesNotLeakBetweenRequests) {
@@ -634,21 +777,23 @@ TEST(ServeTelemetry, MetricsSnapshotCountsEveryStage) {
   CompileService Svc;
   Svc.compile(listRequest()); // cold: compile runs
   Svc.compile(listRequest()); // warm: cache hit, no compile
+  // Warm through submit(): answered at admission with a zero queue wait.
+  ASSERT_TRUE(Svc.submit(listRequest()).get().Cached);
   support::Json M = Svc.metricsSnapshot();
   EXPECT_EQ(M.get("schema")->asString(), "gcsafe-metrics-v1");
   EXPECT_GT(M.get("uptime_ns")->asInt(), 0);
-  EXPECT_EQ(M.get("requests")->asInt(), 2);
+  EXPECT_EQ(M.get("requests")->asInt(), 3);
   const support::Json *Stages = M.get("stages");
   ASSERT_TRUE(Stages);
   auto Count = [&](const char *Stage) {
     return Stages->get(Stage)->get("count")->asInt();
   };
   // Every request is accounted for end-to-end; only the cold one
-  // compiled; both waited in the queue and probed the cache; nothing
-  // was isolated.
-  EXPECT_EQ(Count("e2e"), 2);
-  EXPECT_EQ(Count("queue_wait"), 2);
-  EXPECT_EQ(Count("cache_lookup"), 2);
+  // compiled; all three recorded a queue wait and probed the cache;
+  // nothing was isolated.
+  EXPECT_EQ(Count("e2e"), 3);
+  EXPECT_EQ(Count("queue_wait"), 3);
+  EXPECT_EQ(Count("cache_lookup"), 3);
   EXPECT_EQ(Count("compile"), 1);
   EXPECT_EQ(Count("isolate"), 0);
   const support::Json *Queue = M.get("queue");
@@ -786,16 +931,28 @@ TEST(ServeStore, RestartReplaysFromDiskByteIdentically) {
   EXPECT_EQ(Report.get("valid")->asInt(), 1);
   EXPECT_EQ(Report.get("quarantined")->asInt(), 0);
 
-  // The memory cache is empty — this hit can only come from disk.
-  ServeResult Warm = Svc.compile(listRequest());
+  // The memory cache and the front index are empty — this hit can only
+  // come from disk, through the worker path.
+  EXPECT_EQ(Svc.frontIndex().stats().Entries, 0u);
+  ServeResult Warm = Svc.submit(listRequest()).get();
   ASSERT_TRUE(Warm.Ok);
   EXPECT_TRUE(Warm.Cached);
   EXPECT_EQ(Warm.CacheKey, ColdKey);
   EXPECT_EQ(serveResultToJson(Warm).dump(0), ColdPayload);
-  EXPECT_GE(Svc.store()->stats().Hits, 1u);
+  EXPECT_EQ(Svc.store()->stats().Hits, 1u);
   support::Stats S = Svc.statsSnapshot();
-  EXPECT_GE(S.get("serve.store.hits"), 1u);
+  EXPECT_EQ(S.get("serve.store.hits"), 1u);
   EXPECT_EQ(S.get("serve.store.quarantined"), 0u);
+
+  // The worker indexed the raw key, so the next request is answered at
+  // admission from memory, byte-identically again.
+  EXPECT_EQ(Svc.frontIndex().stats().Entries, 1u);
+  std::future<ServeResult> F = Svc.submit(listRequest());
+  ASSERT_EQ(F.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  ServeResult Again = F.get();
+  EXPECT_TRUE(Again.Cached);
+  EXPECT_EQ(serveResultToJson(Again).dump(0), ColdPayload);
+  EXPECT_EQ(Svc.store()->stats().Hits, 1u);
 }
 
 } // namespace
